@@ -1,13 +1,12 @@
-"""DVFS steady-state solver: ladder search vs dense grid vs fleet batch.
+"""DVFS steady-state solver: fleet search vs the dense-scan test oracle.
 
-The campaign hot path is ``DvfsController.solve_steady``; the ladder
-search must beat the dense (n, k) scan by at least ``MIN_SOLVER_SPEEDUP``x
-on a Summit-scale fleet (27,648 GPUs x 187 p-states), and the fleet-wide
-vectorized solve must beat the ladder by ``MIN_FLEET_SPEEDUP``x on a
-full-Summit campaign day — all *while producing the bit-identical*
-:class:`SteadyOperatingPoint`.  The equality assertions run
-unconditionally; the timing assertions are skipped under
-``REPRO_BENCH_CHECK_ONLY=1`` (the CI perf-smoke job, which runs on noisy
+The campaign hot path is ``DvfsController.solve_steady``; its batched
+fleet search must beat the dense (n, k) scan of
+``tests/gpu/dense_oracle.py`` by at least ``MIN_SOLVER_SPEEDUP``x on a
+Summit-scale fleet (27,648 GPUs x 187 p-states) *while producing the
+bit-identical* :class:`SteadyOperatingPoint`.  The equality assertions
+run unconditionally; the timing assertion is skipped under
+``REPRO_BENCH_CHECK_ONLY=1`` (the CI solver job, which runs on noisy
 shared runners).
 
 Timings are also written to ``BENCH_solver.json`` so the solver's perf
@@ -22,26 +21,16 @@ import pathlib
 import time
 
 import numpy as np
-import pytest
 
 from _bench_util import emit
-from repro.cluster import longhorn
-from repro.gpu.dvfs import SOLVER_FLEET, SOLVER_GRID, SOLVER_LADDER
-from repro.sim import CampaignConfig, run_campaign
-from repro.workloads import sgemm
+from tests.gpu.dense_oracle import dense_solve
 
 #: Skip timing assertions (equality always asserts) — for CI smoke runs.
 CHECK_ONLY = os.environ.get("REPRO_BENCH_CHECK_ONLY") == "1"
 
-#: Acceptance floor for the micro benchmark (dense / ladder wall clock).
-MIN_SOLVER_SPEEDUP = 5.0
-
-#: Acceptance floor for the end-to-end serial campaign comparison.
-MIN_CAMPAIGN_SPEEDUP = 1.5
-
-#: Acceptance floor for the fleet-wide vectorized solve over the ladder
-#: search on a full-Summit campaign day.
-MIN_FLEET_SPEEDUP = 3.0
+#: Acceptance floor for the micro benchmark (dense / fleet wall clock);
+#: about a third of the ratio measured on a 2-vCPU x86 VM (62x).
+MIN_SOLVER_SPEEDUP = 20.0
 
 OUTPUT_PATH = pathlib.Path("BENCH_solver.json")
 
@@ -66,36 +55,37 @@ def _write_json(payload: dict) -> None:
     OUTPUT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
 
-def test_solve_steady_ladder_vs_dense_summit(summit_cluster):
+def test_solve_steady_fleet_vs_dense_summit(summit_cluster):
     fleet = summit_cluster.fleet
     ctl = fleet.controller
     eff = fleet.throughput_efficiency()
-    cap = fleet.power_cap_w()
-    f_cap = fleet.frequency_cap_mhz()
-    kwargs = dict(power_cap_w=cap, f_cap_mhz=f_cap)
+    kwargs = dict(power_cap_w=fleet.power_cap_w(),
+                  f_cap_mhz=fleet.frequency_cap_mhz())
 
-    def solve(solver):
-        return ctl.solve_steady(ACTIVITY, DRAM_UTIL, eff,
-                                solver=solver, **kwargs)
+    def solve():
+        return ctl.solve_steady(ACTIVITY, DRAM_UTIL, eff, **kwargs)
+
+    def solve_dense():
+        return dense_solve(ctl, ACTIVITY, DRAM_UTIL, eff, **kwargs)
 
     # Warm both paths (allocates workspaces, float32 parameter caches).
-    op_ladder, op_grid = solve(SOLVER_LADDER), solve(SOLVER_GRID)
+    op_fleet, op_dense = solve(), solve_dense()
     for field in ("pstate_index", "f_effective_mhz", "f_reported_mhz",
                   "power_w", "temperature_c", "power_capped",
                   "thermally_capped"):
         assert np.array_equal(
-            getattr(op_ladder, field), getattr(op_grid, field)
-        ), f"solvers disagree on {field}"
+            getattr(op_fleet, field), getattr(op_dense, field)
+        ), f"fleet solver disagrees with the dense oracle on {field}"
 
     ctl.stats = type(ctl.stats)()  # count the timed solves only
-    ladder_s = _best_of(lambda: solve(SOLVER_LADDER), repeats=3)
+    fleet_s = _best_of(solve, repeats=3)
     stats = ctl.stats.copy()
-    grid_s = _best_of(lambda: solve(SOLVER_GRID), repeats=3)
-    speedup = grid_s / ladder_s
+    dense_s = _best_of(solve_dense, repeats=3)
+    speedup = dense_s / fleet_s
 
-    emit(None, "solve_steady: ladder vs dense grid (Summit, 27648 GPUs)", [
-        ("dense grid best-of-3", "-", f"{grid_s * 1e3:.1f} ms"),
-        ("ladder best-of-3", "-", f"{ladder_s * 1e3:.1f} ms"),
+    emit(None, "solve_steady: fleet vs dense oracle (Summit, 27648 GPUs)", [
+        ("dense oracle best-of-3", "-", f"{dense_s * 1e3:.1f} ms"),
+        ("fleet best-of-3", "-", f"{fleet_s * 1e3:.1f} ms"),
         ("speedup", f">= {MIN_SOLVER_SPEEDUP:.0f}x", f"{speedup:.1f}x"),
         ("dense cells avoided", "-",
          f"{stats.dense_fraction_avoided:.1%}"),
@@ -103,8 +93,8 @@ def test_solve_steady_ladder_vs_dense_summit(summit_cluster):
     _write_json({"solve_steady_summit": {
         "n_gpus": fleet.n,
         "n_pstates": int(fleet.spec.n_pstates),
-        "grid_s": grid_s,
-        "ladder_s": ladder_s,
+        "dense_s": dense_s,
+        "fleet_s": fleet_s,
         "speedup": speedup,
         "dense_fraction_avoided": stats.dense_fraction_avoided,
         "check_only": CHECK_ONLY,
@@ -112,112 +102,6 @@ def test_solve_steady_ladder_vs_dense_summit(summit_cluster):
 
     if not CHECK_ONLY:
         assert speedup >= MIN_SOLVER_SPEEDUP, (
-            f"ladder solver only {speedup:.1f}x faster than the dense scan "
+            f"fleet solver only {speedup:.1f}x faster than the dense scan "
             f"(floor {MIN_SOLVER_SPEEDUP:.0f}x)"
-        )
-
-
-def test_solve_steady_fleet_vs_ladder_campaign_day(summit_cluster):
-    # One campaign day at full Summit scale: every run is a fleet-wide
-    # solve at a slightly different operating point (facility drift,
-    # per-run activity jitter), which is exactly the workload the
-    # fleet-vectorized solver batches.
-    fleet = summit_cluster.fleet
-    ctl = fleet.controller
-    eff = fleet.throughput_efficiency()
-    cap = fleet.power_cap_w()
-    f_cap = fleet.frequency_cap_mhz()
-    rng = np.random.default_rng(7)
-    runs = [
-        dict(activity=float(a), dram=float(d))
-        for a, d in zip(rng.uniform(0.92, 1.0, 4), rng.uniform(0.3, 0.4, 4))
-    ]
-
-    def solve_day(solver):
-        return [
-            ctl.solve_steady(run["activity"], run["dram"], eff,
-                             power_cap_w=cap, f_cap_mhz=f_cap,
-                             solver=solver)
-            for run in runs
-        ]
-
-    # Equality asserts unconditionally (and warms both paths' caches).
-    for op_l, op_f in zip(solve_day(SOLVER_LADDER), solve_day(SOLVER_FLEET)):
-        for field in ("pstate_index", "f_effective_mhz", "f_reported_mhz",
-                      "power_w", "temperature_c", "power_capped",
-                      "thermally_capped"):
-            assert np.array_equal(
-                getattr(op_l, field), getattr(op_f, field)
-            ), f"fleet solver disagrees with ladder on {field}"
-
-    ctl.stats = type(ctl.stats)()  # count the timed solves only
-    ladder_s = _best_of(lambda: solve_day(SOLVER_LADDER), repeats=3)
-    fleet_s = _best_of(lambda: solve_day(SOLVER_FLEET), repeats=3)
-    stats = ctl.stats.copy()
-    speedup = ladder_s / fleet_s
-
-    emit(None, "solve_steady: fleet vs ladder (Summit campaign day)", [
-        ("runs in the day", "-", f"{len(runs)}"),
-        ("ladder best-of-3", "-", f"{ladder_s * 1e3:.1f} ms"),
-        ("fleet best-of-3", "-", f"{fleet_s * 1e3:.1f} ms"),
-        ("speedup", f">= {MIN_FLEET_SPEEDUP:.0f}x", f"{speedup:.2f}x"),
-    ])
-    _write_json({"fleet_campaign_day_summit": {
-        "n_gpus": fleet.n,
-        "n_pstates": int(fleet.spec.n_pstates),
-        "runs_per_day": len(runs),
-        "ladder_s": ladder_s,
-        "fleet_s": fleet_s,
-        "speedup": speedup,
-        "check_only": CHECK_ONLY,
-    }})
-
-    if not CHECK_ONLY:
-        assert speedup >= MIN_FLEET_SPEEDUP, (
-            f"fleet solver only {speedup:.2f}x faster than the ladder "
-            f"search (floor {MIN_FLEET_SPEEDUP:.0f}x)"
-        )
-
-
-def test_campaign_end_to_end_serial_speedup():
-    # Fresh clusters per solver: the per-(day, shard) fleet cache pins each
-    # fleet's controller to the solver default active when it was built.
-    config = CampaignConfig(days=3, runs_per_day=2)
-
-    def run_with(solver):
-        os.environ["REPRO_DVFS_SOLVER"] = solver
-        try:
-            cluster = longhorn(seed=2022)
-            started = time.perf_counter()
-            dataset = run_campaign(cluster, sgemm(), config, workers=1)
-            return dataset, time.perf_counter() - started
-        finally:
-            del os.environ["REPRO_DVFS_SOLVER"]
-
-    grid_ds, grid_s = run_with(SOLVER_GRID)
-    ladder_ds, ladder_s = run_with(SOLVER_LADDER)
-    speedup = grid_s / ladder_s
-
-    assert grid_ds.column_names == ladder_ds.column_names
-    for name in grid_ds.column_names:
-        assert np.array_equal(grid_ds[name], ladder_ds[name]), name
-
-    emit(None, "Serial campaign: ladder vs dense solver (Longhorn, 3d x 2)", [
-        ("dense-solver wall clock", "-", f"{grid_s:.2f} s"),
-        ("ladder wall clock", "-", f"{ladder_s:.2f} s"),
-        ("speedup", f">= {MIN_CAMPAIGN_SPEEDUP:.1f}x", f"{speedup:.2f}x"),
-    ])
-    _write_json({"campaign_serial_longhorn": {
-        "days": config.days,
-        "runs_per_day": config.runs_per_day,
-        "grid_s": grid_s,
-        "ladder_s": ladder_s,
-        "speedup": speedup,
-        "check_only": CHECK_ONLY,
-    }})
-
-    if not CHECK_ONLY:
-        assert speedup >= MIN_CAMPAIGN_SPEEDUP, (
-            f"end-to-end campaign speedup {speedup:.2f}x below the "
-            f"{MIN_CAMPAIGN_SPEEDUP:.1f}x floor"
         )

@@ -21,9 +21,9 @@ meaning, and teach ``from_dict`` the migration.
 Work identity
 -------------
 :func:`request_digest` hashes the canonical dict *minus* the
-execution-only fields (``workers``, ``solver``, ``deadline_s``): those
-select how fast the answer arrives, never what the answer is (campaign
-outputs are bit-identical across workers and solvers), so two requests
+execution-only fields (``workers``, ``deadline_s``): those select how
+fast the answer arrives, never what the answer is (campaign outputs are
+bit-identical across worker counts), so two requests
 differing only there coalesce onto one computation in the service's
 batcher.  Any field that changes the result — preset, seed, scale, days,
 policy, … — changes the digest.
@@ -61,10 +61,16 @@ REQUEST_SCHEMA_VERSION = 1
 #: Fields that select *how* a request executes, never *what* it computes.
 #: Excluded from :func:`request_digest` so requests differing only here
 #: share one coalesced computation (outputs are bit-identical by the
-#: parallel- and solver-equivalence guarantees).
-EXECUTION_FIELDS = frozenset({"workers", "solver", "deadline_s"})
+#: parallel-equivalence guarantee).
+EXECUTION_FIELDS = frozenset({"workers", "deadline_s"})
 
-_SOLVERS = (None, "ladder", "fleet", "grid")
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class _RequestBase:
@@ -82,10 +88,20 @@ class _RequestBase:
             f"got {self.schema_version!r}",
         )
         require(
-            isinstance(self.seed, int) and not isinstance(self.seed, bool),
-            f"seed must be an integer, got {self.seed!r}",
+            _is_int(self.seed), f"seed must be an integer, got {self.seed!r}"
         )
-        require(0 < self.scale <= 1, "scale must be in (0, 1]")
+        require(
+            _is_number(self.scale) and 0 < self.scale <= 1,
+            f"scale must be a number in (0, 1], got {self.scale!r}",
+        )
+        # Campaign shape, on the kinds that carry it: type-checked here so
+        # a malformed wire value is a ConfigError, never a digested request.
+        for name in ("days", "runs_per_day"):
+            value = getattr(self, name, 1)
+            require(
+                _is_int(value) and value >= 1,
+                f"{name} must be an int >= 1, got {value!r}",
+            )
         require(
             isinstance(self.cluster, str) and bool(self.cluster),
             f"cluster must be a non-empty preset name, got {self.cluster!r}",
@@ -97,12 +113,8 @@ class _RequestBase:
             f"workers must be None or an int >= 1, got {self.workers!r}",
         )
         require(
-            self.solver in _SOLVERS,
-            f"solver must be one of {_SOLVERS[1:]} or None, "
-            f"got {self.solver!r}",
-        )
-        require(
-            self.deadline_s is None or self.deadline_s > 0,
+            self.deadline_s is None
+            or (_is_number(self.deadline_s) and self.deadline_s > 0),
             f"deadline_s must be None or > 0, got {self.deadline_s!r}",
         )
 
@@ -167,7 +179,6 @@ class CharacterizeRequest(_RequestBase):
     coverage: float = 1.0
     power_limit_w: float | None = None
     workers: int | None = None
-    solver: str | None = None
     deadline_s: float | None = None
     schema_version: int = REQUEST_SCHEMA_VERSION
 
@@ -195,7 +206,6 @@ class ScreenRequest(_RequestBase):
     days: int = 3
     min_confirmations: int = 2
     workers: int | None = None
-    solver: str | None = None
     deadline_s: float | None = None
     schema_version: int = REQUEST_SCHEMA_VERSION
 
@@ -231,7 +241,6 @@ class SweepRequest(_RequestBase):
     scale: float = 1.0
     runs: int = 6
     workers: int | None = None
-    solver: str | None = None
     deadline_s: float | None = None
     schema_version: int = REQUEST_SCHEMA_VERSION
 
@@ -273,7 +282,6 @@ class ScheduleRequest(_RequestBase):
     power_budget_w: float | None = None
     profile_days: int = 3
     workers: int | None = None
-    solver: str | None = None
     deadline_s: float | None = None
     schema_version: int = REQUEST_SCHEMA_VERSION
 
@@ -286,8 +294,7 @@ class ScheduleRequest(_RequestBase):
             f"n_jobs must be an int >= 1, got {self.n_jobs!r}",
         )
         require(
-            isinstance(self.trace_seed, int)
-            and not isinstance(self.trace_seed, bool),
+            _is_int(self.trace_seed),
             f"trace_seed must be an integer, got {self.trace_seed!r}",
         )
         require(
@@ -318,7 +325,6 @@ class ChaosRequest(_RequestBase):
     n_jobs: int = 40
     trace_seed: int = 0
     workers: int | None = None
-    solver: str | None = None
     deadline_s: float | None = None
     schema_version: int = REQUEST_SCHEMA_VERSION
 
@@ -335,20 +341,11 @@ class ChaosRequest(_RequestBase):
             f"workload must be a non-empty name, got {self.workload!r}",
         )
         require(
-            isinstance(self.days, int) and self.days >= 1,
-            f"days must be an int >= 1, got {self.days!r}",
-        )
-        require(
-            isinstance(self.runs_per_day, int) and self.runs_per_day >= 1,
-            f"runs_per_day must be an int >= 1, got {self.runs_per_day!r}",
-        )
-        require(
             isinstance(self.n_jobs, int) and self.n_jobs >= 1,
             f"n_jobs must be an int >= 1, got {self.n_jobs!r}",
         )
         require(
-            isinstance(self.trace_seed, int)
-            and not isinstance(self.trace_seed, bool),
+            _is_int(self.trace_seed),
             f"trace_seed must be an integer, got {self.trace_seed!r}",
         )
 
@@ -370,7 +367,6 @@ class MonitorRequest(_RequestBase):
     coverage: float = 1.0
     window: int = 4
     workers: int | None = None
-    solver: str | None = None
     deadline_s: float | None = None
     schema_version: int = REQUEST_SCHEMA_VERSION
 

@@ -21,14 +21,7 @@ from .silicon import SiliconConfig, SiliconPopulation, sample_population
 from .defects import DefectType, DefectConfig, assign_defects
 from .power import PowerModel
 from .thermal import ThermalModel
-from .dvfs import (
-    SOLVER_GRID,
-    SOLVER_LADDER,
-    DvfsController,
-    DvfsPolicy,
-    SolverStats,
-    default_solver,
-)
+from .dvfs import DvfsController, DvfsPolicy, SolverStats
 from .device import GPUFleet
 
 __all__ = [
@@ -51,8 +44,5 @@ __all__ = [
     "DvfsController",
     "DvfsPolicy",
     "SolverStats",
-    "SOLVER_LADDER",
-    "SOLVER_GRID",
-    "default_solver",
     "GPUFleet",
 ]

@@ -3,13 +3,13 @@
 Every campaign run with a manifest sink attached emits one
 :class:`CampaignManifest`: the exact :class:`~repro.sim.campaign.CampaignConfig`
 (plus its digest), the cluster identity, the RNG label hierarchy roots
-every stream derives from, the steady-state solver mode, the shard plan
-shape, the campaign-wide :class:`~repro.gpu.dvfs.SolverStats` totals, and
-a digest of the canonical CSV serialization of the result.
+every stream derives from, the shard plan shape, the campaign-wide
+:class:`~repro.gpu.dvfs.SolverStats` totals, and a digest of the canonical
+CSV serialization of the result.
 
 The point is auditability *without re-execution*: two manifests with equal
-``config_digest``, ``rng`` roots, solver mode, and cluster identity claim
-the same campaign, and their ``result.digest_blake2b`` fields either agree
+``config_digest``, ``rng`` roots, and cluster identity claim the same
+campaign, and their ``result.digest_blake2b`` fields either agree
 (reproduction verified) or pinpoint a divergence — no campaign re-run, no
 fixture comparison.  ``campaign_config_from_manifest`` reconstructs the
 exact :class:`~repro.sim.campaign.CampaignConfig` from a manifest entry.
@@ -199,7 +199,6 @@ def build_campaign_manifest(
             "shard_stream_format": "shard-{shard}-of-{n_shards}",
         },
         solver={
-            "mode": cluster.fleet.controller.solver,
             "solves": solver_stats.solves,
             "batches": solver_stats.batches,
             "columns_evaluated": solver_stats.columns_evaluated,
@@ -251,10 +250,9 @@ def campaign_config_from_manifest(
 
 _SOLVER_BLOCK = {
     "type": "object",
-    "required": ["mode", "solves", "columns_evaluated", "dense_cells",
+    "required": ["solves", "columns_evaluated", "dense_cells",
                  "fixed_point_iterations"],
     "properties": {
-        "mode": {"type": "string", "enum": ["ladder", "fleet", "grid"]},
         "batches": {"type": "integer"},
         "solves": {"type": "integer"},
         "columns_evaluated": {"type": "integer"},

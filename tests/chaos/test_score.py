@@ -95,12 +95,6 @@ class TestDeterminism:
                 == canonical_json(result_w1.scorecard))
         assert timeline_lines(timeline_w2) == timeline_lines(timeline_w1)
 
-    def test_scorecard_is_solver_independent(self, scored):
-        result_default, _ = scored
-        result_fleet = run_scenario(solver="fleet", workers=2)
-        assert (canonical_json(result_fleet.scorecard)
-                == canonical_json(result_default.scorecard))
-
 
 class TestChaosTimeline:
     def test_events_declare_the_scenario_before_the_campaign(self, scored):

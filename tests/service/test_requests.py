@@ -15,7 +15,7 @@ def _sample(kind):
     return {
         "characterize": api.CharacterizeRequest(
             cluster="cloudlab", workload="resnet50", seed=3, scale=0.5,
-            days=2, runs_per_day=2, coverage=0.5, workers=2, solver="fleet",
+            days=2, runs_per_day=2, coverage=0.5, workers=2,
         ),
         "screen": api.ScreenRequest(
             cluster="cloudlab", workloads=("sgemm", "pagerank"), seed=1,
@@ -96,9 +96,32 @@ class TestValidation:
         with pytest.raises(ConfigError):
             api.CharacterizeRequest(scale=0.0)
         with pytest.raises(ConfigError):
-            api.CharacterizeRequest(solver="warp")
-        with pytest.raises(ConfigError):
             api.ScheduleRequest(engine="quantum")
+
+    @pytest.mark.parametrize("body", [
+        {"kind": "characterize", "scale": "x"},
+        {"kind": "characterize", "scale": None},
+        {"kind": "characterize", "scale": True},
+        {"kind": "characterize", "days": "abc"},
+        {"kind": "characterize", "days": None},
+        {"kind": "characterize", "days": [1]},
+        {"kind": "characterize", "days": 0},
+        {"kind": "characterize", "runs_per_day": "2"},
+        {"kind": "monitor", "days": 1.5},
+        {"kind": "monitor", "runs_per_day": True},
+        {"kind": "screen", "days": "3"},
+        {"kind": "chaos", "runs_per_day": None},
+        {"kind": "sweep", "scale": "0.5"},
+        {"kind": "characterize", "deadline_s": "soon"},
+        # The steady-state solver is no longer selectable: a stale body
+        # naming one fails as an unknown key.
+        {"kind": "characterize", "solver": "fleet"},
+    ], ids=repr)
+    def test_malformed_wire_values_rejected(self, body):
+        # Wrong types must raise the typed error before any digest is
+        # taken, never a bare TypeError from a comparison.
+        with pytest.raises(ConfigError):
+            api.request_from_dict(body)
 
 
 class TestDigest:
@@ -107,9 +130,7 @@ class TestDigest:
         import dataclasses
 
         request = _sample(kind)
-        retuned = dataclasses.replace(
-            request, workers=4, solver="grid", deadline_s=1.5
-        )
+        retuned = dataclasses.replace(request, workers=4, deadline_s=1.5)
         assert api.request_digest(request) == api.request_digest(retuned)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -7,6 +7,8 @@ loop via ``asyncio.run`` — no fixed ports, no cross-test state.
 import asyncio
 import threading
 
+import pytest
+
 from repro import api
 from repro.loadgen.client import http_request
 from repro.service import (
@@ -115,6 +117,23 @@ class TestRouting:
             )
 
         assert _with_service(scenario).status == 400
+
+    @pytest.mark.parametrize("body", [
+        b'{"scale": "x"}',
+        b'{"days": "abc"}',
+        b'{"solver": "fleet"}',
+    ])
+    def test_mistyped_or_stale_field_400(self, body):
+        # A wrong type or a field that no longer exists is a typed
+        # bad_request reply, never a dropped connection.
+        async def scenario(service):
+            return await http_request(
+                "127.0.0.1", service.port, "POST", "/v1/characterize", body,
+            )
+
+        reply = _with_service(scenario)
+        assert reply.status == 400
+        assert decode_response(reply.body)["error"]["code"] == "bad_request"
 
 
 class TestParity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import Tracer, activate
 from repro.sim.engine import Engine, EngineConfig
 from repro.workloads import resnet50, sgemm
 
@@ -79,6 +80,18 @@ class TestDynamics:
         engine.run_for(20.0)
         # After settling, instantaneous power hovers near 150 W.
         assert np.median(engine.instantaneous_power()) < 165.0
+
+    def test_fast_cap_clamp_engages_under_tight_limit(self, fleet):
+        # Every kernel launch boosts over a tight cap; the hardware fast
+        # cap must step those GPUs down within the integration step.
+        engine = Engine(fleet, sgemm(), EngineConfig(thermal_time_scale=10.0),
+                        power_limit_w=160.0)
+        tracer = Tracer()
+        with activate(tracer):
+            engine.run_for(10.0)
+        assert tracer.counters.get("engine.clamp_reevaluations", 0) > 0
+        assert np.all(engine.state.pstate_index >= 0)
+        assert np.median(engine.instantaneous_power()) < 160.0 * 1.1
 
     def test_frequency_ceiling(self, tiny_cloudlab):
         fleet = tiny_cloudlab.fleet.take(np.arange(2))

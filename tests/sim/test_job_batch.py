@@ -19,6 +19,7 @@ from repro.sim.job import (
     sample_job_runtimes,
 )
 from repro.workloads import get_workload
+from tests.gpu.dense_oracle import dense_search
 
 
 @pytest.fixture(scope="module")
@@ -122,11 +123,12 @@ class TestBatchEqualsSequential:
 
 
 class TestSolverPassthrough:
+    """The slow-GPU reference table settles through the fleet solver."""
+
     @pytest.mark.parametrize("name", ("sgemm", "pagerank"))
     def test_fleet_solver_reference_times_bitwise(self, cluster, name):
         workload = get_workload(name)
-        default = reference_unit_times(cluster, workload, day=2)
-        fleet = reference_unit_times(
-            cluster, workload, day=2, solver="fleet"
-        )
-        np.testing.assert_array_equal(default, fleet)
+        fleet = reference_unit_times(cluster, workload, day=2)
+        with dense_search():
+            oracle = reference_unit_times(cluster, workload, day=2)
+        np.testing.assert_array_equal(fleet, oracle)

@@ -1,11 +1,11 @@
-"""Campaign-level solver cross-checks and solver telemetry.
+"""Campaign-level DVFS solver cross-checks and solver telemetry.
 
-``REPRO_DVFS_SOLVER=grid`` must reproduce the default (ladder) campaign
-dataset bit for bit — including on Corona, where AMD DPM dithering draws
-per-run RNG inside ``solve_steady`` and would drift on the first
-miscounted draw.  Fresh clusters are built per solver so the per-(day,
-shard) fleet cache cannot leak a controller constructed under the other
-solver default.
+Routing every solve through the dense-scan oracle must reproduce the
+campaign dataset bit for bit — including on Corona, where AMD DPM
+dithering draws per-run RNG inside ``solve_steady`` and would drift on
+the first miscounted draw.  The oracle patch is in-process, so those
+comparisons run serially; fresh clusters are built per run so the
+per-(day, shard) fleet cache never carries state between them.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster import corona, longhorn
-from repro.gpu.dvfs import SOLVER_FLEET, SOLVER_GRID, SOLVER_LADDER
 from repro.sim import CampaignConfig, run_campaign
 from repro.telemetry.progress import CampaignProgress
 from repro.workloads import sgemm
 from repro.workloads.sgemm import SGEMM_N_AMD
+from tests.gpu.dense_oracle import dense_search
 
 CONFIG = CampaignConfig(days=2, runs_per_day=2, coverage=0.9)
 
@@ -31,70 +31,52 @@ def assert_datasets_identical(a, b):
         assert np.array_equal(x, y), f"column {name!r} differs"
 
 
-def run_with_solver(monkeypatch, make_cluster, workload, solver,
-                    workers=None, progress=None):
-    monkeypatch.setenv("REPRO_DVFS_SOLVER", solver)
-    try:
-        return run_campaign(make_cluster(), workload, CONFIG,
-                            workers=workers, progress=progress)
-    finally:
-        monkeypatch.delenv("REPRO_DVFS_SOLVER")
+def run(make_cluster, workload, workers=None, progress=None):
+    return run_campaign(make_cluster(), workload, CONFIG, workers=workers,
+                        progress=progress)
 
 
-def test_grid_solver_reproduces_longhorn_campaign(monkeypatch):
+def run_dense(make_cluster, workload, progress=None):
+    with dense_search():
+        return run(make_cluster, workload, progress=progress)
+
+
+def test_grid_solver_reproduces_longhorn_campaign():
     make = lambda: longhorn(seed=13, scale=0.25)
-    ladder = run_with_solver(monkeypatch, make, sgemm(), SOLVER_LADDER)
-    grid = run_with_solver(monkeypatch, make, sgemm(), SOLVER_GRID)
-    assert_datasets_identical(ladder, grid)
+    assert_datasets_identical(run(make, sgemm()), run_dense(make, sgemm()))
 
 
-def test_grid_solver_reproduces_corona_dither_campaign(monkeypatch):
+def test_grid_solver_reproduces_corona_dither_campaign():
     # The AMD cluster: every solve dithers, so this fails on the first
-    # RNG draw the ladder search would add or skip relative to the scan.
+    # RNG draw the fleet search would add or skip relative to the scan.
     make = lambda: corona(seed=13, scale=0.3)
     workload = sgemm(n=SGEMM_N_AMD)
-    ladder = run_with_solver(monkeypatch, make, workload, SOLVER_LADDER)
-    grid = run_with_solver(monkeypatch, make, workload, SOLVER_GRID)
-    assert_datasets_identical(ladder, grid)
+    assert_datasets_identical(run(make, workload), run_dense(make, workload))
 
 
-def test_fleet_solver_reproduces_longhorn_campaign(monkeypatch):
+def test_fleet_solver_parallel_matches_serial():
     make = lambda: longhorn(seed=13, scale=0.25)
-    ladder = run_with_solver(monkeypatch, make, sgemm(), SOLVER_LADDER)
-    fleet = run_with_solver(monkeypatch, make, sgemm(), SOLVER_FLEET)
-    assert_datasets_identical(ladder, fleet)
+    assert_datasets_identical(run(make, sgemm()),
+                              run(make, sgemm(), workers=2))
 
 
-def test_fleet_solver_reproduces_corona_dither_campaign(monkeypatch):
-    make = lambda: corona(seed=13, scale=0.3)
-    workload = sgemm(n=SGEMM_N_AMD)
-    ladder = run_with_solver(monkeypatch, make, workload, SOLVER_LADDER)
-    fleet = run_with_solver(monkeypatch, make, workload, SOLVER_FLEET)
-    assert_datasets_identical(ladder, fleet)
-
-
-def test_fleet_solver_parallel_matches_serial(monkeypatch):
-    make = lambda: longhorn(seed=13, scale=0.25)
-    serial = run_with_solver(monkeypatch, make, sgemm(), SOLVER_FLEET)
-    sharded = run_with_solver(monkeypatch, make, sgemm(), SOLVER_FLEET,
-                              workers=2)
-    assert_datasets_identical(serial, sharded)
-
-
-def test_solve_counters_invariant_across_solvers_and_workers(monkeypatch):
+def test_solve_counters_invariant_across_solvers_and_workers():
     # A batched solve counts as n per-GPU solves in one batch, so the
     # campaign-total solve/batch counters depend only on the campaign
-    # shape — never on the solver mode or the shard plan.
+    # shape — never on the search (fleet or dense oracle) or the shard
+    # plan.
     make = lambda: longhorn(seed=13, scale=0.25)
     totals = {}
-    for solver in (SOLVER_LADDER, SOLVER_FLEET, SOLVER_GRID):
-        for workers in (None, 2):
-            progress = CampaignProgress()
-            run_with_solver(monkeypatch, make, sgemm(), solver,
-                            workers=workers, progress=progress)
-            stats = progress.solver_stats
-            totals[(solver, workers)] = (stats.solves, stats.batches)
-    reference = totals[(SOLVER_LADDER, None)]
+    for label in ("serial", "workers=2", "dense"):
+        progress = CampaignProgress()
+        if label == "dense":
+            run_dense(make, sgemm(), progress=progress)
+        else:
+            run(make, sgemm(), workers=2 if label == "workers=2" else None,
+                progress=progress)
+        stats = progress.solver_stats
+        totals[label] = (stats.solves, stats.batches)
+    reference = totals["serial"]
     assert reference[0] > 0 and reference[1] > 0
     assert all(t == reference for t in totals.values()), totals
 

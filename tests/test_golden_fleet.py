@@ -1,11 +1,11 @@
-"""Golden-regression tests under the fleet solver.
+"""Golden-regression tests across worker counts.
 
-The committed fixtures in ``tests/golden/`` were produced under the
-default (ladder) solver.  ``REPRO_DVFS_SOLVER=fleet`` must reproduce
-every one of them byte-for-byte — the batched solve and the batched
-fast-cap clamp are execution shape only — and the guarantee holds at any
-worker count, since worker processes inherit the environment and the
-shard plan never feeds one GPU's lanes into another's.
+The fleet search is the only steady-state DVFS solver, and it solves
+whatever GPU subset a worker's shard holds as one batch.  Every committed
+fixture in ``tests/golden/`` must therefore come out byte-for-byte the
+same serially and with two workers: the batched solve and the shard plan
+are execution shape only, and the plan never feeds one GPU's lanes into
+another's.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ import pytest
 from tests.golden import GOLDEN_CAMPAIGNS, golden_csv_text, read_golden_text
 
 ALL_NAMES = sorted(GOLDEN_CAMPAIGNS)
-
-
-@pytest.fixture(autouse=True)
-def fleet_solver(monkeypatch):
-    monkeypatch.setenv("REPRO_DVFS_SOLVER", "fleet")
 
 
 @pytest.mark.slow

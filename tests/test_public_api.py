@@ -68,9 +68,6 @@ API_SURFACE = frozenset({
     "BackfillPolicy", "VariabilityAwarePolicy", "HealthAwarePolicy",
     "EnergyCappedPolicy", "node_power_watts", "POLICY_NAMES", "ENGINE_MODES",
     "validate_scheduling_report", "write_event_log",
-    # steady-state solver selection
-    "SOLVER_LADDER", "SOLVER_FLEET", "SOLVER_GRID", "SOLVER_ENV_VAR",
-    "default_solver", "solver_scope",
     # typed request surface (shared by Python, CLI, and the HTTP service)
     "REQUEST_SCHEMA_VERSION", "REQUEST_KINDS", "EXECUTION_FIELDS",
     "CharacterizeRequest", "ScreenRequest", "SweepRequest",
