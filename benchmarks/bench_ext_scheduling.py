@@ -19,9 +19,10 @@ and the slow-assignment rate at comparable utilization.
 week-long, 10^5-job diurnal trace on the **full Summit** preset (4,608
 nodes / 27,648 GPUs), sized so the daily peak slightly overruns the gang
 mix's packing capacity and a real queue forms.  The same trace runs
-through the indexed engine and the pre-index reference loop; the event
-logs must match byte for byte and the report digests must be identical,
-and the indexed engine must be >=10x faster.  Results land in
+through the engine and the pre-index reference loop (the test oracle in
+``tests/sched/reference_engine.py``); the event logs must match byte for
+byte and the report digests must be identical, and the engine must be
+>=10x faster.  Results land in
 ``BENCH_sched.json`` for cross-commit tracking; timing assertions (wall
 clock only — the equality and quality assertions are deterministic and
 always run) are skipped under ``REPRO_BENCH_CHECK_ONLY=1``, which also
@@ -49,6 +50,7 @@ from repro.sched import (
 )
 from repro.sim.job import reference_unit_times
 from repro.workloads import get_workload
+from tests.sched.reference_engine import run_reference
 
 #: Skip wall-clock assertions — for CI smoke runs on noisy shared runners.
 CHECK_ONLY = os.environ.get("REPRO_BENCH_CHECK_ONLY") == "1"
@@ -215,11 +217,11 @@ def _node_variability_scores(cluster):
     return worst / np.median(unit_times)
 
 
-def _timed_run(cluster, jobs, policy, engine):
+def _timed_run(cluster, jobs, policy, run):
     tracer = Tracer()
     started = time.perf_counter()
     with activate(tracer):
-        outcome = run_schedule(cluster, jobs, policy, engine=engine)
+        outcome = run(cluster, jobs, policy)
     elapsed = time.perf_counter() - started
     return outcome, elapsed, dict(tracer.counters)
 
@@ -235,10 +237,10 @@ def test_indexed_engine_speedup():
     )
 
     indexed, indexed_s, counters = _timed_run(
-        cluster, jobs, policy, "indexed"
+        cluster, jobs, policy, run_schedule
     )
     reference, reference_s, ref_counters = _timed_run(
-        cluster, jobs, policy, "reference"
+        cluster, jobs, policy, run_reference
     )
     speedup = reference_s / indexed_s
 

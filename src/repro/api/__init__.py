@@ -122,7 +122,6 @@ from ..obs.health import (
     write_health_events,
 )
 from ..sched import (
-    ENGINE_MODES,
     POLICY_NAMES,
     BackfillPolicy,
     EnergyCappedPolicy,
@@ -198,7 +197,6 @@ __all__ = [
     "EnergyCappedPolicy",
     "node_power_watts",
     "POLICY_NAMES",
-    "ENGINE_MODES",
     "validate_scheduling_report",
     "write_event_log",
     # domain types
@@ -934,7 +932,6 @@ def schedule(
     cluster: Cluster | None = None,
     policy: str | PlacementPolicy = "fifo",
     trace: TraceConfig | tuple[Job, ...] | list[Job] | None = None,
-    engine: str = "auto",
     power_budget_w: float | None = None,
     profile_workload: Workload | None = None,
     profile_config: CampaignConfig | None = None,
@@ -967,11 +964,6 @@ def schedule(
     trace:
         A :class:`~repro.sched.TraceConfig` (generated deterministically),
         an explicit job tuple, or ``None`` for the default trace.
-    engine:
-        One of :data:`~repro.sched.ENGINE_MODES` — ``"auto"`` (default)
-        uses the indexed near-linear dispatch path whenever the policy
-        supports it, ``"indexed"`` / ``"reference"`` force one path.
-        Both produce byte-identical event logs and reports.
     power_budget_w:
         Fleet-wide power budget for the ``"energy-capped"`` policy, in
         watts.  ``None`` defaults to 60% of the fleet's summed power-cap
@@ -993,7 +985,7 @@ def schedule(
         report from the log alone.
 
     Same ``cluster`` seed + same ``trace`` + same ``policy`` ⇒
-    byte-identical event log and report, under either engine.
+    byte-identical event log and report.
     """
     if request is not None:
         _require_request_only(
@@ -1013,7 +1005,6 @@ def schedule(
             peak_hour=request.peak_hour,
             day_of_week_weights=request.day_of_week_weights,
         )
-        engine = request.engine
         power_budget_w = request.power_budget_w
         profile_config = CampaignConfig(days=request.profile_days)
         workers = request.workers
@@ -1041,7 +1032,7 @@ def schedule(
             stack.enter_context(activate(tracer))
         if timeline is not None:
             stack.enter_context(activate_recorder(timeline))
-        outcome = run_schedule(cluster, jobs, built, engine=engine)
+        outcome = run_schedule(cluster, jobs, built)
     report = build_scheduling_report(
         cluster.name,
         outcome,

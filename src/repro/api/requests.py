@@ -73,6 +73,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_numbers(value) -> bool:
+    return isinstance(value, (tuple, list)) and all(
+        _is_number(x) for x in value
+    )
+
+
 class _RequestBase:
     """Shared behaviour of every request dataclass (wire + validation)."""
 
@@ -102,6 +108,11 @@ class _RequestBase:
                 _is_int(value) and value >= 1,
                 f"{name} must be an int >= 1, got {value!r}",
             )
+        coverage = getattr(self, "coverage", 1.0)
+        require(
+            _is_number(coverage) and 0 < coverage <= 1,
+            f"coverage must be a number in (0, 1], got {coverage!r}",
+        )
         require(
             isinstance(self.cluster, str) and bool(self.cluster),
             f"cluster must be a non-empty preset name, got {self.cluster!r}",
@@ -190,6 +201,12 @@ class CharacterizeRequest(_RequestBase):
             isinstance(self.workload, str) and bool(self.workload),
             f"workload must be a non-empty name, got {self.workload!r}",
         )
+        require(
+            self.power_limit_w is None
+            or (_is_number(self.power_limit_w) and self.power_limit_w > 0),
+            f"power_limit_w must be None or a positive number, "
+            f"got {self.power_limit_w!r}",
+        )
 
 
 @dataclass(frozen=True)
@@ -249,8 +266,9 @@ class SweepRequest(_RequestBase):
     def __post_init__(self) -> None:
         self._validate_common()
         require(
-            len(self.power_limits_w) >= 1
-            and all(float(x) > 0 for x in self.power_limits_w),
+            _is_numbers(self.power_limits_w)
+            and len(self.power_limits_w) >= 1
+            and all(x > 0 for x in self.power_limits_w),
             f"power_limits_w must hold positive watt limits, "
             f"got {self.power_limits_w!r}",
         )
@@ -278,7 +296,6 @@ class ScheduleRequest(_RequestBase):
     diurnal_amplitude: float = 0.0
     peak_hour: float = 14.0
     day_of_week_weights: tuple[float, ...] | None = None
-    engine: str = "auto"
     power_budget_w: float | None = None
     profile_days: int = 3
     workers: int | None = None
@@ -298,8 +315,28 @@ class ScheduleRequest(_RequestBase):
             f"trace_seed must be an integer, got {self.trace_seed!r}",
         )
         require(
-            self.engine in ("auto", "indexed", "reference"),
-            f"engine must be auto/indexed/reference, got {self.engine!r}",
+            _is_number(self.arrival_rate_per_hour)
+            and self.arrival_rate_per_hour > 0,
+            f"arrival_rate_per_hour must be a positive number, "
+            f"got {self.arrival_rate_per_hour!r}",
+        )
+        for name in ("diurnal_amplitude", "peak_hour"):
+            value = getattr(self, name)
+            require(
+                _is_number(value),
+                f"{name} must be a number, got {value!r}",
+            )
+        require(
+            self.day_of_week_weights is None
+            or _is_numbers(self.day_of_week_weights),
+            f"day_of_week_weights must be None or a list of numbers, "
+            f"got {self.day_of_week_weights!r}",
+        )
+        require(
+            self.power_budget_w is None
+            or (_is_number(self.power_budget_w) and self.power_budget_w > 0),
+            f"power_budget_w must be None or a positive number, "
+            f"got {self.power_budget_w!r}",
         )
         require(
             isinstance(self.profile_days, int) and self.profile_days >= 1,

@@ -12,11 +12,9 @@ end on the simulated machine:
   naive random baseline to variability- and health-aware ranking;
 * :mod:`repro.sched.engine` — the serial discrete-event queue engine
   (submit → queue → place → run → complete) with bulk-synchronous gang
-  pricing from :mod:`repro.sim.job`, in two byte-identical flavors: the
-  reference scan loop and the indexed near-linear path;
+  pricing from :mod:`repro.sim.job`, near-linear in the trace length;
 * :mod:`repro.sched.index` — the incremental structures behind the
-  indexed path (order-keyed segment trees, per-gang-size blocked
-  queues);
+  engine (order-keyed segment trees, per-gang-size blocked queues);
 * :mod:`repro.sched.report` — schema-validated metrics reports and
   byte-stable JSON Lines event logs.
 
@@ -26,7 +24,6 @@ of worker counts anywhere in the stack.  Reach it through
 """
 
 from .engine import (
-    ENGINE_MODES,
     FAST_PERCENTILE,
     SLOW_THRESHOLD,
     JobRecord,
@@ -81,7 +78,6 @@ __all__ = [
     "ScheduleOutcome",
     "run_schedule",
     "event_log_lines",
-    "ENGINE_MODES",
     "SLOW_THRESHOLD",
     "FAST_PERCENTILE",
     "OrderedFreeIndex",

@@ -3,9 +3,9 @@
 One serial event loop drives a whole scheduling run: jobs are submitted
 from a seeded trace, queued, placed by a pluggable policy over a
 :class:`~repro.cluster.allocator.FreeListAllocator`, priced on their
-granted GPUs by :func:`~repro.sim.job.sample_job_runtime` (bulk-synchronous
-gang semantics — the slowest member gates the job), and their completions
-return capacity to the free list.
+granted GPUs by :func:`~repro.sim.job.sample_job_runtimes`
+(bulk-synchronous gang semantics — the slowest member gates the job), and
+their completions return capacity to the free list.
 
 Determinism is structural, not incidental:
 
@@ -20,22 +20,17 @@ Determinism is structural, not incidental:
   bit-identical across worker counts, so the same seed and policy yield a
   byte-identical event log no matter how the run was configured.
 
-Two dispatch paths produce that same log:
-
-* the **reference** path — the PR 5 loop, kept verbatim: rank every node
-  per attempt, rebuild free counts, scan the wait queue head-first.  It
-  is the semantic definition, and the fallback for custom policies whose
-  ranking the engine cannot see into.
-* the **indexed** path — the same decisions through incremental
-  structures: O(1) fit checks from the allocator's free-count buckets,
-  static policy orders resolved through
-  :class:`~repro.sched.index.OrderedFreeIndex` segment trees, random
-  policy draws resolved with one vectorized scan, a per-gang-size
-  blocked-queue index instead of head rescans, and per-round batched job
-  pricing through :func:`~repro.sim.job.sample_job_runtimes`.  Policies
-  describe their ranking via
-  :meth:`~repro.sched.policies.PlacementPolicy.indexed_ranking`;
-  ``docs/SCHEDULING.md`` carries the byte-stability argument.
+One dispatch path produces that log, near-linear in the trace length:
+O(1) fit checks from the allocator's free-count buckets, static policy
+orders resolved through :class:`~repro.sched.index.OrderedFreeIndex`
+segment trees, random policy draws resolved with one vectorized scan, a
+per-gang-size blocked-queue index instead of head rescans, and per-round
+batched job pricing through :func:`~repro.sim.job.sample_job_runtimes`.
+Policies declare their ranking via
+:meth:`~repro.sched.policies.PlacementPolicy.ranking`.  The original
+rank-every-node, head-rescan loop survives as the test oracle in
+``tests/sched/reference_engine.py``; ``docs/SCHEDULING.md`` carries the
+byte-stability argument.
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ from ..obs.tracer import active_tracer
 from ..sim.job import (
     JobPricingRequest,
     reference_unit_times,
-    sample_job_runtime,
     sample_job_runtimes,
 )
 from ..workloads import get_workload
@@ -70,7 +64,6 @@ __all__ = [
     "ScheduleOutcome",
     "run_schedule",
     "event_log_lines",
-    "ENGINE_MODES",
     "SLOW_THRESHOLD",
     "FAST_PERCENTILE",
 ]
@@ -81,11 +74,6 @@ SLOW_THRESHOLD = 0.06
 
 #: Percentile of the fleet's reference times taken as the fast baseline.
 FAST_PERCENTILE = 2.0
-
-#: Dispatch paths ``run_schedule(engine=...)`` accepts.  ``auto`` uses the
-#: indexed path whenever the policy's ranking is indexable and falls back
-#: to the reference loop otherwise; both produce byte-identical logs.
-ENGINE_MODES = ("auto", "indexed", "reference")
 
 _EVT_FINISH = 0  # completions release capacity before equal-time arrivals
 _EVT_SUBMIT = 1
@@ -154,41 +142,9 @@ def event_log_lines(events: tuple[dict[str, object], ...]) -> list[str]:
     ]
 
 
-def _plan_requests(
-    job: Job,
-    ranked: np.ndarray,
-    allocator: FreeListAllocator,
-) -> list[tuple[int, int]] | None:
-    """Node requests satisfying the gang in policy preference order.
-
-    Jobs that fit in one chassis require a single node (gang co-location);
-    wider gangs greedily take capacity across the ranked nodes.  Returns
-    ``None`` when the job cannot start now.
-    """
-    free = allocator.free_counts()
-    if int(free.sum()) < job.n_gpus:
-        return None
-    per_node = allocator.topology.gpus_per_node
-    if job.n_gpus <= per_node:
-        for node in ranked.tolist():
-            if int(free[node]) >= job.n_gpus:
-                return [(int(node), job.n_gpus)]
-        return None
-    requests: list[tuple[int, int]] = []
-    remaining = job.n_gpus
-    for node in ranked.tolist():
-        take = min(int(free[node]), remaining)
-        if take > 0:
-            requests.append((int(node), take))
-            remaining -= take
-        if remaining == 0:
-            return requests
-    return None
-
-
 def _validate_jobs(cluster: Cluster, jobs: tuple[Job, ...],
                    policy: PlacementPolicy) -> None:
-    """Shared entry checks: widths fit the machine and the power budget."""
+    """Entry checks: widths fit the machine and the power budget."""
     if not jobs:
         raise SimulationError("a scheduling run needs at least one job")
     n_fleet = cluster.topology.n_gpus
@@ -217,52 +173,6 @@ def _workload_table(jobs: tuple[Job, ...]) -> dict[str, object]:
     }
 
 
-def run_schedule(
-    cluster: Cluster,
-    jobs: tuple[Job, ...],
-    policy: PlacementPolicy,
-    *,
-    engine: str = "auto",
-) -> ScheduleOutcome:
-    """Run the full trace through the queue under one placement policy.
-
-    Parameters
-    ----------
-    cluster:
-        The simulated machine (topology, physics, seeded streams).
-    jobs:
-        The offered load — typically :func:`~repro.sched.generate_trace`.
-    policy:
-        A constructed :class:`~repro.sched.PlacementPolicy`; its
-        ``backfill`` flag selects the queue discipline.
-    engine:
-        Dispatch path: ``"auto"`` (default) takes the indexed near-linear
-        path whenever the policy's ranking is indexable, ``"indexed"``
-        asks for it explicitly, ``"reference"`` forces the PR 5 scan
-        loop.  All paths emit byte-identical event logs; policies with an
-        opaque (overridden) ranking always run on the reference path.
-
-    Returns the per-job records and the canonical event log.  Emits
-    ``sched.*`` counters and a run span on the active tracer, if any.
-    """
-    if engine not in ENGINE_MODES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_MODES}"
-        )
-    _validate_jobs(cluster, jobs, policy)
-    spec = None
-    if engine != "reference":
-        spec = policy.indexed_ranking(cluster.topology.n_nodes)
-    if spec is None:
-        outcome = _run_reference(cluster, jobs, policy)
-    else:
-        outcome = _run_indexed(cluster, jobs, policy, spec)
-    recorder = active_recorder()
-    if recorder is not None:
-        _record_timeline(cluster, policy, jobs, outcome, recorder)
-    return outcome
-
-
 def _record_timeline(
     cluster: Cluster,
     policy: PlacementPolicy,
@@ -272,9 +182,9 @@ def _record_timeline(
 ) -> None:
     """Append the run to the unified flight recorder.
 
-    Recorded post-hoc from the outcome — whose event log is byte-identical
-    across engines — rather than inside the dispatch loops, so both paths
-    share one emission order by construction.  Start events carry the
+    Recorded post-hoc from the outcome rather than inside the dispatch
+    loop, so any outcome with the same event log — the test oracle's
+    included — yields the same timeline.  Start events carry the
     *exact* (unrounded) record floats, letting a replayer rebuild every
     :class:`JobRecord` bit-for-bit and re-derive the scheduling-report
     digest from the timeline alone.
@@ -329,184 +239,29 @@ def _record_timeline(
             )
 
 
-def _run_reference(
+def run_schedule(
     cluster: Cluster,
     jobs: tuple[Job, ...],
     policy: PlacementPolicy,
 ) -> ScheduleOutcome:
-    """The PR 5 dispatch loop: rank-every-node, head-rescan wait queue."""
-    allocator = FreeListAllocator(cluster.topology)
-    policy_rng = cluster.rng_factory.child("sched-policy").generator(
-        policy.name
-    )
-    workloads = _workload_table(jobs)
-    admission = policy.admission
-    reference_cache: dict[tuple[str, int], tuple[np.ndarray, float]] = {}
+    """Run the full trace through the queue under one placement policy.
 
-    def slow_reference(name: str, day: int) -> tuple[np.ndarray, float]:
-        key = (name, day)
-        if key not in reference_cache:
-            ref = reference_unit_times(cluster, workloads[name], day=day)
-            fast = float(np.percentile(ref, FAST_PERCENTILE))
-            reference_cache[key] = (ref, fast * (1.0 + SLOW_THRESHOLD))
-        return reference_cache[key]
+    Parameters
+    ----------
+    cluster:
+        The simulated machine (topology, physics, seeded streams).
+    jobs:
+        The offered load — typically :func:`~repro.sched.generate_trace`.
+    policy:
+        A constructed :class:`~repro.sched.PlacementPolicy`; its
+        ``backfill`` flag selects the queue discipline.
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for job in jobs:
-        heapq.heappush(heap, (job.submit_time_s, _EVT_SUBMIT, seq, job.job_id))
-        seq += 1
+    Returns the per-job records and the canonical event log.  Emits
+    ``sched.*`` counters and a run span on the active tracer, and the
+    dispatch sequence on the active timeline recorder, if any.
 
-    by_id = {job.job_id: job for job in jobs}
-    queue: list[int] = []
-    running: dict[int, GangAllocation] = {}
-    records: list[JobRecord] = []
-    events: list[dict[str, object]] = []
-    tracer = active_tracer()
-
-    def emit(event: dict[str, object]) -> None:
-        events.append(event)
-
-    def try_dispatch(now: float) -> None:
-        nonlocal seq
-        index = 0
-        while index < len(queue):
-            job = by_id[queue[index]]
-            if tracer is not None:
-                tracer.add("sched.dispatch_attempts")
-            if admission is not None and not admission.can_admit(job.n_gpus):
-                if not policy.backfill:
-                    return
-                index += 1
-                continue
-            workload = workloads[job.workload_name]
-            ranked = policy.rank_nodes(
-                workload, job.n_gpus, allocator.free_counts(), policy_rng
-            )
-            requests = _plan_requests(job, ranked, allocator)
-            if requests is None:
-                if not policy.backfill:
-                    return
-                index += 1
-                continue
-            allocation = allocator.allocate(requests)
-            running[job.job_id] = allocation
-            if admission is not None:
-                admission.commit(job.job_id, job.n_gpus)
-            backfilled = index > 0
-            queue.pop(index)
-            day = int(now // _SECONDS_PER_DAY)
-            job_rng = cluster.rng_factory.child(
-                f"sched-job-{job.job_id}"
-            ).generator("run")
-            perf = sample_job_runtime(
-                cluster,
-                workload,
-                allocation.gpu_indices,
-                day=day,
-                work_units=job.work_units,
-                rng=job_rng,
-            )
-            ref, threshold = slow_reference(job.workload_name, day)
-            slow = bool(ref[allocation.gpu_indices].max() > threshold)
-            finish_t = now + perf.runtime_s
-            record = JobRecord(
-                job_id=job.job_id,
-                workload_name=job.workload_name,
-                n_gpus=job.n_gpus,
-                work_units=job.work_units,
-                submit_time_s=job.submit_time_s,
-                start_time_s=now,
-                finish_time_s=finish_t,
-                node_indices=tuple(allocation.node_indices.tolist()),
-                gpu_indices=tuple(allocation.gpu_indices.tolist()),
-                runtime_s=perf.runtime_s,
-                energy_j=perf.energy_j,
-                gang_imbalance=perf.gang_imbalance,
-                slow_assigned=slow,
-            )
-            records.append(record)
-            emit(
-                {
-                    "event": "start",
-                    "t": _round(now),
-                    "job": job.job_id,
-                    "nodes": record.node_indices,
-                    "gpus": record.gpu_indices,
-                    "backfilled": backfilled,
-                }
-            )
-            if tracer is not None:
-                tracer.add("sched.placements")
-                if backfilled:
-                    tracer.add("sched.backfills")
-                if slow:
-                    tracer.add("sched.slow_assignments")
-            heapq.heappush(heap, (finish_t, _EVT_FINISH, seq, job.job_id))
-            seq += 1
-            # restart the scan: freeing nothing, but the head may now be
-            # deeper in the queue after the pop
-            if not policy.backfill:
-                index = 0
-
-    span = (
-        tracer.span(
-            "schedule", category="sched", policy=policy.name,
-            n_jobs=len(jobs),
-        )
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
-    with span:
-        while heap:
-            now, kind, _, job_id = heapq.heappop(heap)
-            if kind == _EVT_SUBMIT:
-                job = by_id[job_id]
-                queue.append(job_id)
-                emit(
-                    {
-                        "event": "submit",
-                        "t": _round(now),
-                        "job": job_id,
-                        "workload": job.workload_name,
-                        "n_gpus": job.n_gpus,
-                        "work_units": job.work_units,
-                    }
-                )
-                if tracer is not None:
-                    tracer.add("sched.submitted")
-            else:
-                allocation = running.pop(job_id)
-                allocator.free(allocation)
-                if admission is not None:
-                    admission.release(job_id)
-                emit({"event": "finish", "t": _round(now), "job": job_id})
-                if tracer is not None:
-                    tracer.add("sched.completed")
-            try_dispatch(now)
-
-    if queue or running:
-        raise SimulationError(
-            f"scheduling run ended with {len(queue)} queued and "
-            f"{len(running)} running jobs"
-        )
-    records.sort(key=lambda r: r.job_id)
-    return ScheduleOutcome(
-        policy_name=policy.name,
-        records=tuple(records),
-        events=tuple(events),
-    )
-
-
-def _run_indexed(
-    cluster: Cluster,
-    jobs: tuple[Job, ...],
-    policy: PlacementPolicy,
-    spec,
-) -> ScheduleOutcome:
-    """The near-linear dispatch path.
-
-    Decision-for-decision equal to :func:`_run_reference`:
+    Every decision equals the rank-every-node, head-rescan reference
+    loop's:
 
     * fit checks come from the allocator's O(1) free-count buckets — the
       fit predicate ("any node with ≥k free" / "≥k free in total") never
@@ -523,6 +278,8 @@ def _run_indexed(
       the heap orders by ``(time, kind, seq)``, so deferring the push to
       the end of the round cannot reorder anything.
     """
+    _validate_jobs(cluster, jobs, policy)
+    spec = policy.ranking(cluster.topology.n_nodes)
     allocator = FreeListAllocator(cluster.topology)
     policy_rng = cluster.rng_factory.child("sched-policy").generator(
         policy.name
@@ -788,8 +545,12 @@ def _run_indexed(
             f"{len(running)} running jobs"
         )
     records.sort(key=lambda r: r.job_id)
-    return ScheduleOutcome(
+    outcome = ScheduleOutcome(
         policy_name=policy.name,
         records=tuple(records),
         events=tuple(events),
     )
+    recorder = active_recorder()
+    if recorder is not None:
+        _record_timeline(cluster, policy, jobs, outcome, recorder)
+    return outcome

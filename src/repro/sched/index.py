@@ -1,9 +1,11 @@
 """Allocation indexes for the near-linear scheduler hot path.
 
-The reference engine answers "where does this gang go?" by rebuilding the
-per-node free-count array and scanning every node in policy-preference
-order — O(n_nodes) Python work per placement attempt.  This module holds
-the structures that make the same answers O(log n) or O(1):
+Read literally, "where does this gang go?" means rebuilding the per-node
+free-count array and scanning every node in policy-preference order —
+O(n_nodes) Python work per placement attempt, which is what the test
+oracle in ``tests/sched/reference_engine.py`` does.  This module holds
+the structures that give the engine the same answers in O(log n) or
+O(1):
 
 * :class:`OrderedFreeIndex` — a segment tree over a *static* node
   preference order (variability scores, health grades, power scores are
@@ -18,15 +20,15 @@ the structures that make the same answers O(log n) or O(1):
 * :func:`resolve_with_ranking` — the vectorized one-shot equivalent for
   *random* preference orders (fifo's per-attempt permutation draw), where
   a tree cannot be reused across attempts: a NumPy scan over the drawn
-  ranking replacing the reference engine's Python loop.
+  ranking replacing a Python loop over nodes.
 * :class:`SizeBucketQueue` — the per-gang-size blocked-queue index: jobs
   waiting in FIFO order, bucketed by gang width, so a ``free`` event
   wakes only widths that can now fit instead of rescanning the queue
   head-first.
 
-Every query is a pure function of (order, free state), so the indexed
-engine's placements are byte-identical to the reference scan — the
-equivalence argument lives in ``docs/SCHEDULING.md``.
+Every query is a pure function of (order, free state), so the engine's
+placements are byte-identical to the literal scan — the equivalence
+argument lives in ``docs/SCHEDULING.md``.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def resolve_with_ranking(
 ) -> list[tuple[int, int]] | None:
     """Vectorized gang plan over a one-shot (random) preference order.
 
-    The NumPy equivalent of the reference engine's Python scan: for
+    The NumPy equivalent of a Python scan down the ranking: for
     single-chassis gangs, the first ranked node with enough free GPUs;
     for wider gangs, the greedy prefix of the ranking.  Returns ``None``
     when the gang cannot start now.

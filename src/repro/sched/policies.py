@@ -1,10 +1,11 @@
 """Pluggable placement policies: from the paper's naive baseline up.
 
-A policy answers one question: *given the queue and the current free
-state, in what order should nodes be offered to this job?*  The engine
-(:mod:`repro.sched.engine`) walks the returned preference order and takes
-free GPUs until the gang is satisfied, so a policy never has to reason
-about free lists — only about ranking.
+A policy answers one question: *given a job, in what order should nodes
+be offered to it?*  It declares the answer once, through
+:meth:`PlacementPolicy.ranking`, and the engine
+(:mod:`repro.sched.engine`) takes free GPUs in that order until the gang
+is satisfied, so a policy never has to reason about free lists — only
+about ranking.
 
 Five built-ins:
 
@@ -30,12 +31,10 @@ Five built-ins:
 Every ranking is deterministic given the policy's seeded stream and
 inputs; ties break by ascending node index.
 
-Indexed rankings
-----------------
+Ranking specs
+-------------
 
-The indexed engine (``run_schedule(engine="indexed")``) never walks a
-full preference order per attempt; instead it asks a policy to
-*describe* its ranking via :meth:`PlacementPolicy.indexed_ranking`:
+:meth:`PlacementPolicy.ranking` returns one of two specs:
 
 * :class:`StaticRankingSpec` — the order is fixed for the whole trace
   (possibly one order per job class).  The engine builds one
@@ -44,13 +43,8 @@ full preference order per attempt; instead it asks a policy to
   attempts can be skipped entirely.
 * :class:`RandomRankingSpec` — the order is drawn from the policy
   stream per attempt (fifo's permutation, health-aware's shuffle).  The
-  engine still draws at every point the reference engine would — the
-  stream must stay byte-compatible — but resolves each drawn ranking
-  with one vectorized scan instead of a Python loop.
-* ``None`` — the policy's ranking is opaque (a user subclass overrode
-  :meth:`~PlacementPolicy.rank_nodes`); the engine falls back to the
-  reference dispatch path, which calls ``rank_nodes`` exactly as PR 5
-  shipped it.
+  engine draws once at every placement attempt, futile ones included,
+  and resolves each drawn ranking with one vectorized scan.
 """
 
 from __future__ import annotations
@@ -104,9 +98,9 @@ class StaticRankingSpec:
 class RandomRankingSpec:
     """A per-attempt ranking drawn from the policy stream.
 
-    ``draw(rng)`` must consume exactly the randomness the policy's
-    :meth:`~PlacementPolicy.rank_nodes` would — the indexed engine calls
-    it at every legacy attempt point to keep the stream byte-compatible.
+    ``draw(rng)`` returns a permutation of node indices; the engine calls
+    it once per placement attempt, so the policy stream's consumption is
+    a pure function of the trace.
     """
 
     draw: Callable[[np.random.Generator], np.ndarray]
@@ -119,8 +113,7 @@ class PowerBudgetAdmission:
     node's power cap — the §VII knob) until it finishes; a job is
     admitted only while the reservation fits under ``budget_w``.
     Reservations are a pure function of the placement/finish sequence,
-    so both engine paths agree byte-for-byte no matter when job pricing
-    happens.
+    so admission decisions do not depend on when job pricing happens.
     """
 
     def __init__(self, budget_w: float, gpu_reserve_w: float) -> None:
@@ -191,38 +184,15 @@ class PlacementPolicy(ABC):
     admission: PowerBudgetAdmission | None = None
 
     @abstractmethod
-    def rank_nodes(
-        self,
-        workload: Workload,
-        n_gpus: int,
-        free_counts: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Node indices in descending preference for this job.
-
-        Parameters
-        ----------
-        workload:
-            The job's application profile.
-        n_gpus:
-            The job's gang width.
-        free_counts:
-            Free GPUs per node (ascending node index).
-        rng:
-            The scheduler's seeded policy stream — the only randomness a
-            policy may use.
-        """
-
-    def indexed_ranking(
+    def ranking(
         self, n_nodes: int
-    ) -> StaticRankingSpec | RandomRankingSpec | None:
-        """Describe this ranking for the indexed engine, if possible.
+    ) -> StaticRankingSpec | RandomRankingSpec:
+        """Node preference for every job of a run on ``n_nodes`` nodes.
 
-        Returns ``None`` when the ranking is opaque — including when a
-        subclass overrides :meth:`rank_nodes` — which routes the policy
-        through the reference dispatch path.
+        Called once per scheduling run; raises
+        :class:`~repro.errors.ConfigError` when the policy was built for
+        a different node count.
         """
-        return None
 
     def describe(self) -> dict[str, object]:
         """Report-facing summary of the policy configuration."""
@@ -235,14 +205,8 @@ class FifoPolicy(PlacementPolicy):
     name = "fifo"
     backfill = False
 
-    def rank_nodes(self, workload, n_gpus, free_counts, rng):
-        """Uniformly random permutation of every node."""
-        return rng.permutation(free_counts.shape[0])
-
-    def indexed_ranking(self, n_nodes):
-        """One uniform permutation per attempt (the exact legacy draw)."""
-        if type(self).rank_nodes is not FifoPolicy.rank_nodes:
-            return None
+    def ranking(self, n_nodes):
+        """One uniformly random permutation of every node per attempt."""
         return RandomRankingSpec(draw=lambda rng: rng.permutation(n_nodes))
 
 
@@ -279,27 +243,11 @@ class VariabilityAwarePolicy(PlacementPolicy):
         self.node_scores = scores
         self.backfill = bool(backfill)
 
-    def rank_nodes(self, workload, n_gpus, free_counts, rng):
-        """Low-variation nodes first for sensitive jobs, last otherwise."""
-        if free_counts.shape[0] != self.node_scores.shape[0]:
-            raise ConfigError(
-                f"policy scored {self.node_scores.shape[0]} nodes but the "
-                f"machine has {free_counts.shape[0]}"
-            )
-        sensitivity = expected_performance_sensitivity(
-            classify_workload(workload)
-        )
-        key = (
-            self.node_scores
-            if sensitivity >= SENSITIVITY_THRESHOLD
-            else -self.node_scores
-        )
-        return np.argsort(key, kind="stable")
+    def ranking(self, n_nodes):
+        """Low-variation nodes first for sensitive jobs, last otherwise.
 
-    def indexed_ranking(self, n_nodes):
-        """Two trace-constant orders, selected by workload sensitivity."""
-        if type(self).rank_nodes is not VariabilityAwarePolicy.rank_nodes:
-            return None
+        Two trace-constant orders, selected by workload sensitivity.
+        """
         if n_nodes != self.node_scores.shape[0]:
             raise ConfigError(
                 f"policy scored {self.node_scores.shape[0]} nodes but the "
@@ -361,20 +309,11 @@ class HealthAwarePolicy(PlacementPolicy):
         )
         self.backfill = bool(backfill)
 
-    def rank_nodes(self, workload, n_gpus, free_counts, rng):
-        """Healthy nodes first (shuffled within a grade), sick ones last."""
-        if free_counts.shape[0] != self._rank.shape[0]:
-            raise ConfigError(
-                f"policy graded {self._rank.shape[0]} nodes but the "
-                f"machine has {free_counts.shape[0]}"
-            )
-        shuffle = rng.permutation(self._rank.shape[0])
-        return shuffle[np.argsort(self._rank[shuffle], kind="stable")]
+    def ranking(self, n_nodes):
+        """Healthy nodes first (shuffled within a grade), sick ones last.
 
-    def indexed_ranking(self, n_nodes):
-        """Grade-ordered ranking, reshuffled within grades per attempt."""
-        if type(self).rank_nodes is not HealthAwarePolicy.rank_nodes:
-            return None
+        The within-grade shuffle is redrawn at every attempt.
+        """
         if n_nodes != self._rank.shape[0]:
             raise ConfigError(
                 f"policy graded {self._rank.shape[0]} nodes but the "
@@ -454,19 +393,11 @@ class EnergyCappedPolicy(PlacementPolicy):
         )
         self.backfill = bool(backfill)
 
-    def rank_nodes(self, workload, n_gpus, free_counts, rng):
-        """Lowest-power nodes first; ties break by ascending index."""
-        if free_counts.shape[0] != self.node_power_w.shape[0]:
-            raise ConfigError(
-                f"policy priced {self.node_power_w.shape[0]} nodes but the "
-                f"machine has {free_counts.shape[0]}"
-            )
-        return np.argsort(self.node_power_w, kind="stable")
+    def ranking(self, n_nodes):
+        """Lowest-power nodes first; ties break by ascending index.
 
-    def indexed_ranking(self, n_nodes):
-        """One trace-constant cheapest-first order."""
-        if type(self).rank_nodes is not EnergyCappedPolicy.rank_nodes:
-            return None
+        One trace-constant order for every job.
+        """
         if n_nodes != self.node_power_w.shape[0]:
             raise ConfigError(
                 f"policy priced {self.node_power_w.shape[0]} nodes but the "

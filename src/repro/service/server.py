@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ from .pool import WorkerPool
 from .wire import build_response, encode_response
 
 __all__ = ["ServiceConfig", "FleetService", "default_runner"]
+
+_log = logging.getLogger(__name__)
 
 #: Upper bound on request head (request line + headers) we will buffer.
 _MAX_HEAD_BYTES = 16 * 1024
@@ -309,6 +312,13 @@ class FleetService:
             return 400, _error_body("bad_request", str(exc)), {}
         except ReproError as exc:
             return 500, _error_body("error", str(exc)), {}
+        except Exception as exc:
+            # Anything else is a bug, but the client still gets an answer
+            # and the connection task survives to serve the next request.
+            _log.exception("unexpected error serving /v1/%s", kind)
+            return 500, _error_body(
+                "internal", f"{type(exc).__name__}: {exc}"
+            ), {}
         headers = {
             "X-Repro-Cache": reply.status,
             "X-Repro-Digest": reply.digest,

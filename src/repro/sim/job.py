@@ -23,7 +23,7 @@ Three entry points:
   ``standard_normal`` batch, the gangs are concatenated into a single
   fleet slice, and the whole batch settles in at most two vectorized
   DVFS solves, bitwise equal to pricing each job alone.  This is the
-  indexed scheduler's hot path.
+  scheduler's hot path.
 """
 
 from __future__ import annotations

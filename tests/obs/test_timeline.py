@@ -273,16 +273,21 @@ class TestSchedTimeline:
                 assert tuple(event.value("gpus")) == record.gpu_indices
 
     def test_engines_record_identical_timelines(self):
+        """The engine's timeline equals one recorded from the oracle's run."""
         from repro.cluster import get_preset
         from repro.sched import FifoPolicy, TraceConfig, generate_trace, \
             run_schedule
+        from repro.sched.engine import _record_timeline
+        from tests.sched.reference_engine import run_reference
 
         cluster = get_preset("longhorn", seed=11, scale=0.25)
         trace = generate_trace(TraceConfig(n_jobs=20, seed=4))
-        digests = []
-        for engine in ("reference", "indexed"):
-            timeline = TimelineRecorder()
-            with activate_recorder(timeline):
-                run_schedule(cluster, trace, FifoPolicy(), engine=engine)
-            digests.append(timeline.digest())
-        assert digests[0] == digests[1]
+        engine_timeline = TimelineRecorder()
+        with activate_recorder(engine_timeline):
+            run_schedule(cluster, trace, FifoPolicy())
+        oracle_timeline = TimelineRecorder()
+        outcome = run_reference(cluster, trace, FifoPolicy())
+        _record_timeline(
+            cluster, FifoPolicy(), trace, outcome, oracle_timeline
+        )
+        assert engine_timeline.digest() == oracle_timeline.digest()

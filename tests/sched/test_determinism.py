@@ -82,15 +82,20 @@ class TestPolicyIsolation:
         """
         import numpy as np
 
+        from repro.sched import StaticRankingSpec
+
         class _Identity(api.PlacementPolicy):
             """Deterministic identity ranking under a given policy name."""
 
             def __init__(self, name):
                 self.name = name
 
-            def rank_nodes(self, workload, n_gpus, free_counts, rng):
-                """Nodes in ascending index order, ignoring the rng."""
-                return np.arange(free_counts.shape[0])
+            def ranking(self, n_nodes):
+                """Nodes in ascending index order for every job."""
+                return StaticRankingSpec(
+                    orders=(np.arange(n_nodes),),
+                    order_index_of=lambda workload, n_gpus: 0,
+                )
 
         a = api.schedule(
             cluster=cluster, policy=_Identity("ident-a"), trace=_trace()

@@ -1,18 +1,18 @@
-"""Indexed vs reference dispatch: byte-identical, and actually faster.
+"""Engine vs reference oracle: byte-identical, and actually faster.
 
-The tentpole guarantee of the indexed engine: for every built-in policy,
+The guarantee of the near-linear engine: for every built-in policy,
 every queue discipline, and every trace shape (flat, congested, diurnal,
-multi-node gangs, power-capped), ``engine="indexed"`` and
-``engine="reference"`` emit the *same bytes* — same event log, same
-records, same report.  A near-linearity guard pins the indexed path's
-work per job so a regression back to head-rescan behavior fails loudly.
+multi-node gangs, power-capped), :func:`~repro.sched.run_schedule` and
+the rank-every-node oracle in ``tests/sched/reference_engine.py`` emit
+the *same bytes* — same event log, same records, same report.  A
+near-linearity guard pins the engine's work per job so a regression back
+to head-rescan behavior fails loudly.
 """
 
 import numpy as np
 import pytest
 
 from repro import api
-from repro.errors import SimulationError
 from repro.obs.tracer import Tracer, activate
 from repro.sched import (
     BackfillPolicy,
@@ -20,11 +20,12 @@ from repro.sched import (
     FifoPolicy,
     HealthAwarePolicy,
     VariabilityAwarePolicy,
+    build_scheduling_report,
     event_log_lines,
     node_power_watts,
     run_schedule,
 )
-from repro.sched.engine import ENGINE_MODES
+from tests.sched.reference_engine import run_reference
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +92,8 @@ DIURNAL = api.TraceConfig(
 
 def _run_both(cluster, policy_key, trace):
     jobs = api.generate_trace(trace)
-    ref = run_schedule(
-        cluster, jobs, _policy(policy_key, cluster), engine="reference"
-    )
-    idx = run_schedule(
-        cluster, jobs, _policy(policy_key, cluster), engine="indexed"
-    )
+    ref = run_reference(cluster, jobs, _policy(policy_key, cluster))
+    idx = run_schedule(cluster, jobs, _policy(policy_key, cluster))
     return ref, idx
 
 
@@ -115,49 +112,35 @@ class TestByteEquivalence:
         assert ref.records == idx.records
 
     def test_auto_matches_forced_indexed(self, cluster):
+        """The facade's default path reproduces the oracle's log."""
         jobs = api.generate_trace(CONGESTED)
-        auto = run_schedule(cluster, jobs, BackfillPolicy(), engine="auto")
-        idx = run_schedule(cluster, jobs, BackfillPolicy(), engine="indexed")
-        assert event_log_lines(auto.events) == event_log_lines(idx.events)
+        facade = api.schedule(cluster=cluster, policy="backfill", trace=jobs)
+        ref = run_reference(cluster, jobs, BackfillPolicy())
+        assert event_log_lines(facade.events) == event_log_lines(ref.events)
 
     def test_report_digests_match_across_engines(self, cluster):
-        results = [
-            api.schedule(
-                cluster=cluster, policy="backfill", trace=CONGESTED,
-                engine=engine,
-            )
-            for engine in ENGINE_MODES
-        ]
-        payloads = {r.report.to_json() for r in results}
-        assert len(payloads) == 1
+        result = api.schedule(
+            cluster=cluster, policy="backfill", trace=CONGESTED
+        )
+        ref = run_reference(
+            cluster, api.generate_trace(CONGESTED), BackfillPolicy()
+        )
+        oracle_report = build_scheduling_report(
+            cluster.name,
+            ref,
+            BackfillPolicy().describe(),
+            cluster.topology.n_gpus,
+            trace_seed=CONGESTED.seed,
+        )
+        assert result.report.to_json() == oracle_report.to_json()
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self, cluster):
-        jobs = api.generate_trace(api.TraceConfig(n_jobs=2))
-        with pytest.raises(SimulationError, match="unknown engine"):
-            run_schedule(cluster, jobs, FifoPolicy(), engine="turbo")
-
-    def test_opaque_policy_falls_back_to_reference(self, cluster):
-        """A subclass that overrides rank_nodes must not be indexed."""
-
-        class Reversed(FifoPolicy):
-            name = "reversed"
-
-            def rank_nodes(self, workload, n_gpus, free_counts, rng):
-                return np.arange(free_counts.shape[0])[::-1]
-
-        assert Reversed().indexed_ranking(cluster.topology.n_nodes) is None
-        jobs = api.generate_trace(CONGESTED)
-        auto = run_schedule(cluster, jobs, Reversed(), engine="auto")
-        ref = run_schedule(cluster, jobs, Reversed(), engine="reference")
-        assert event_log_lines(auto.events) == event_log_lines(ref.events)
-
     def test_indexed_path_batches_pricing(self, cluster):
         jobs = api.generate_trace(CONGESTED)
         tracer = Tracer()
         with activate(tracer):
-            run_schedule(cluster, jobs, BackfillPolicy(), engine="indexed")
+            run_schedule(cluster, jobs, BackfillPolicy())
         assert tracer.counters["sched.price_batches"] >= 1
         assert tracer.counters["sched.placements"] == CONGESTED.n_jobs
         # batching cannot exceed one batch per dispatch round
@@ -172,16 +155,17 @@ class TestEngineSelection:
         """Stream parity implies attempt-for-attempt parity."""
         jobs = api.generate_trace(CONGESTED)
         attempts = {}
-        for engine in ("reference", "indexed"):
+        for name, run in (("reference", run_reference),
+                          ("engine", run_schedule)):
             tracer = Tracer()
             with activate(tracer):
-                run_schedule(cluster, jobs, BackfillPolicy(), engine=engine)
-            attempts[engine] = tracer.counters["sched.dispatch_attempts"]
-        assert attempts["reference"] == attempts["indexed"]
+                run(cluster, jobs, BackfillPolicy())
+            attempts[name] = tracer.counters["sched.dispatch_attempts"]
+        assert attempts["reference"] == attempts["engine"]
 
 
 class TestNearLinearity:
-    """The indexed static-backfill path does O(1) queue work per event.
+    """The static-backfill dispatch does O(1) queue work per event.
 
     Each dispatch round costs one failed probe plus one probe per
     placement, and rounds run once per event (one submit + one finish
@@ -199,9 +183,7 @@ class TestNearLinearity:
         )
         tracer = Tracer()
         with activate(tracer):
-            run_schedule(
-                cluster, api.generate_trace(trace), policy, engine="indexed"
-            )
+            run_schedule(cluster, api.generate_trace(trace), policy)
         attempts = tracer.counters["sched.dispatch_attempts"]
         assert attempts <= 3.5 * n_jobs
 
@@ -209,8 +191,8 @@ class TestNearLinearity:
         """The congestion above genuinely defeats the reference loop.
 
         This is the counterpart that keeps the guard honest: on the same
-        trace the head-rescan loop performs far more attempts, so the
-        indexed bound is a real invariant, not a slack tautology.
+        trace the oracle's head-rescan loop performs far more attempts, so
+        the engine's bound is a real invariant, not a slack tautology.
         """
         trace = api.TraceConfig(
             n_jobs=100, arrival_rate_per_hour=2000.0, seed=6
@@ -220,10 +202,7 @@ class TestNearLinearity:
         )
         tracer = Tracer()
         with activate(tracer):
-            run_schedule(
-                cluster, api.generate_trace(trace), policy,
-                engine="reference",
-            )
+            run_reference(cluster, api.generate_trace(trace), policy)
         assert tracer.counters["sched.dispatch_attempts"] > 3.5 * 100
 
 

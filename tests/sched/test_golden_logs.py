@@ -1,12 +1,14 @@
-"""Golden event-log guard: the indexed engine must reproduce PR 5 bytes.
+"""Golden event-log guard: the engine must reproduce the original bytes.
 
 ``tests/sched/golden/`` holds the canonical event logs of a 120-job
 half-Longhorn run (the scheduling benchmark's configuration) for every
-built-in policy, generated once with ``engine="reference"`` — the PR 5
-dispatch loop kept verbatim.  This test replays the identical run through
-the indexed engine and compares the serialized logs *byte for byte*: any
-drift in placement order, backfill decisions, RNG stream consumption, or
-event formatting fails here before it can silently change results.
+built-in policy, generated once by the original rank-every-node dispatch
+loop (kept as the oracle in ``tests/sched/reference_engine.py``).  This
+test replays the identical run through the engine and compares the
+serialized logs *byte for byte*: any drift in placement order, backfill
+decisions, RNG stream consumption, or event formatting fails here before
+it can silently change results.  The files also pin each built-in
+policy's ranking independently of the policy code that declares it.
 """
 
 from pathlib import Path
@@ -38,12 +40,11 @@ def test_indexed_engine_reproduces_golden_bytes(cluster, policy):
         cluster=cluster,
         policy=policy,
         trace=api.TraceConfig(**TRACE),
-        engine="indexed" if policy != "fifo" else "auto",
         profile_config=api.CampaignConfig(days=PROFILE_DAYS),
     )
     replayed = "\n".join(event_log_lines(result.events)) + "\n"
     assert replayed == golden, (
-        f"indexed engine event log diverged from golden bytes for "
+        f"engine event log diverged from golden bytes for "
         f"{policy!r}"
     )
 

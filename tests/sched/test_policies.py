@@ -1,4 +1,9 @@
-"""Tests for the placement policies."""
+"""Tests for the placement policies.
+
+Ranking semantics are checked through the oracle's per-attempt resolver
+(:func:`tests.sched.reference_engine.attempt_ranking`), which turns a
+policy's declared spec into the node order one placement attempt sees.
+"""
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from repro.sched.policies import (
     EnergyCappedPolicy,
     FifoPolicy,
     HealthAwarePolicy,
+    PlacementPolicy,
     PowerBudgetAdmission,
     RandomRankingSpec,
     StaticRankingSpec,
@@ -18,18 +24,25 @@ from repro.sched.policies import (
     node_power_watts,
 )
 from repro.workloads import get_workload
+from tests.sched.reference_engine import attempt_ranking
 
 N_NODES = 6
-FREE = np.full(N_NODES, 4, dtype=np.int64)
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _ranked(policy, workload_name, rng, n_nodes=N_NODES):
+    """The node order one placement attempt of a 2-GPU job sees."""
+    return attempt_ranking(
+        policy.ranking(n_nodes), get_workload(workload_name), 2, rng
+    )
+
+
 class TestFifo:
     def test_permutation_of_all_nodes(self):
-        ranked = FifoPolicy().rank_nodes(get_workload("sgemm"), 2, FREE, _rng())
+        ranked = _ranked(FifoPolicy(), "sgemm", _rng())
         assert sorted(ranked.tolist()) == list(range(N_NODES))
 
     def test_no_backfill(self):
@@ -37,8 +50,8 @@ class TestFifo:
         assert BackfillPolicy().backfill is True
 
     def test_rng_drives_order(self):
-        a = FifoPolicy().rank_nodes(get_workload("sgemm"), 2, FREE, _rng(1))
-        b = FifoPolicy().rank_nodes(get_workload("sgemm"), 2, FREE, _rng(2))
+        a = _ranked(FifoPolicy(), "sgemm", _rng(1))
+        b = _ranked(FifoPolicy(), "sgemm", _rng(2))
         assert a.tolist() != b.tolist()
 
 
@@ -47,13 +60,13 @@ class TestVariabilityAware:
 
     def test_sensitive_workload_prefers_low_variation(self):
         policy = VariabilityAwarePolicy(self.SCORES)
-        ranked = policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng())
+        ranked = _ranked(policy, "sgemm", _rng())
         assert ranked[0] == 1  # lowest score first
         assert ranked[-1] == 0  # highest score last
 
     def test_memory_bound_workload_absorbs_high_variation(self):
         policy = VariabilityAwarePolicy(self.SCORES)
-        ranked = policy.rank_nodes(get_workload("pagerank"), 2, FREE, _rng())
+        ranked = _ranked(policy, "pagerank", _rng())
         assert ranked[0] == 0  # highest-variation node first
         assert ranked[-1] == 1
 
@@ -73,14 +86,14 @@ class TestVariabilityAware:
 
     def test_deterministic_ranking(self):
         policy = VariabilityAwarePolicy(self.SCORES)
-        a = policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng())
-        b = policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng(99))
+        a = _ranked(policy, "sgemm", _rng())
+        b = _ranked(policy, "sgemm", _rng(99))
         np.testing.assert_array_equal(a, b)  # rng not consumed at all
 
     def test_wrong_size_rejected(self):
         policy = VariabilityAwarePolicy(self.SCORES[:3])
         with pytest.raises(ConfigError, match="nodes"):
-            policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng())
+            _ranked(policy, "sgemm", _rng())
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ConfigError):
@@ -92,16 +105,14 @@ class TestHealthAware:
 
     def test_unhealthy_nodes_rank_last(self):
         policy = HealthAwarePolicy(self.GRADES)
-        ranked = policy.rank_nodes(
-            get_workload("sgemm"), 2, FREE, _rng()
-        ).tolist()
+        ranked = _ranked(policy, "sgemm", _rng()).tolist()
         assert set(ranked[-2:]) == {1, 3}  # degraded + critical at the back
         assert ranked[-1] == 3  # critical strictly last
 
     def test_healthy_nodes_shuffled_by_rng(self):
         policy = HealthAwarePolicy(self.GRADES)
-        a = policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng(1)).tolist()
-        b = policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng(2)).tolist()
+        a = _ranked(policy, "sgemm", _rng(1)).tolist()
+        b = _ranked(policy, "sgemm", _rng(2)).tolist()
         assert a != b
         assert a[-1] == b[-1] == 3
 
@@ -181,15 +192,13 @@ class TestEnergyCapped:
         return EnergyCappedPolicy(self.POWER, **kwargs)
 
     def test_cheapest_nodes_first_ties_by_index(self):
-        ranked = self._policy().rank_nodes(
-            get_workload("sgemm"), 2, FREE, _rng()
-        )
+        ranked = _ranked(self._policy(), "sgemm", _rng())
         assert ranked.tolist() == [1, 3, 5, 2, 0, 4]
 
     def test_rng_not_consumed(self):
         policy = self._policy()
-        a = policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng(1))
-        b = policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng(2))
+        a = _ranked(policy, "sgemm", _rng(1))
+        b = _ranked(policy, "sgemm", _rng(2))
         np.testing.assert_array_equal(a, b)
 
     def test_default_reserve_is_worst_gpu_share(self):
@@ -208,14 +217,12 @@ class TestEnergyCapped:
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ConfigError, match="nodes"):
-            self._policy().rank_nodes(
-                get_workload("sgemm"), 2, FREE[:3], _rng()
-            )
+            _ranked(self._policy(), "sgemm", _rng(), n_nodes=3)
 
 
 class TestIndexedRankingSpecs:
     def test_fifo_is_random_spec_with_legacy_draw(self):
-        spec = FifoPolicy().indexed_ranking(N_NODES)
+        spec = FifoPolicy().ranking(N_NODES)
         assert isinstance(spec, RandomRankingSpec)
         np.testing.assert_array_equal(
             spec.draw(_rng(7)), _rng(7).permutation(N_NODES)
@@ -223,47 +230,28 @@ class TestIndexedRankingSpecs:
 
     def test_backfill_inherits_fifo_spec(self):
         assert isinstance(
-            BackfillPolicy().indexed_ranking(N_NODES), RandomRankingSpec
-        )
-
-    def test_variability_aware_static_orders_match_rank_nodes(self):
-        policy = VariabilityAwarePolicy(TestVariabilityAware.SCORES)
-        spec = policy.indexed_ranking(N_NODES)
-        assert isinstance(spec, StaticRankingSpec)
-        for name in ("sgemm", "pagerank"):
-            workload = get_workload(name)
-            order = spec.orders[spec.order_index_of(workload, 2)]
-            np.testing.assert_array_equal(
-                order, policy.rank_nodes(workload, 2, FREE, _rng())
-            )
-
-    def test_health_aware_draw_matches_rank_nodes(self):
-        policy = HealthAwarePolicy(TestHealthAware.GRADES)
-        spec = policy.indexed_ranking(N_NODES)
-        assert isinstance(spec, RandomRankingSpec)
-        np.testing.assert_array_equal(
-            spec.draw(_rng(3)),
-            policy.rank_nodes(get_workload("sgemm"), 2, FREE, _rng(3)),
+            BackfillPolicy().ranking(N_NODES), RandomRankingSpec
         )
 
     def test_energy_capped_single_static_order(self):
         policy = EnergyCappedPolicy(
             TestEnergyCapped.POWER, power_budget_w=1200.0, gpus_per_node=4
         )
-        spec = policy.indexed_ranking(N_NODES)
+        spec = policy.ranking(N_NODES)
         assert isinstance(spec, StaticRankingSpec)
         assert len(spec.orders) == 1
         assert spec.order_index_of(get_workload("bert"), 8) == 0
 
-    def test_overriding_rank_nodes_disables_indexing(self):
-        class Custom(VariabilityAwarePolicy):
-            def rank_nodes(self, workload, n_gpus, free_counts, rng):
-                return np.arange(free_counts.shape[0])
-
-        policy = Custom(TestVariabilityAware.SCORES)
-        assert policy.indexed_ranking(N_NODES) is None
-
     def test_wrong_node_count_rejected(self):
         policy = VariabilityAwarePolicy(TestVariabilityAware.SCORES)
         with pytest.raises(ConfigError, match="nodes"):
-            policy.indexed_ranking(N_NODES + 1)
+            policy.ranking(N_NODES + 1)
+
+    def test_policy_without_ranking_cannot_be_built(self):
+        """Every policy must declare its ranking; there is no fallback."""
+
+        class Undeclared(PlacementPolicy):
+            name = "undeclared"
+
+        with pytest.raises(TypeError, match="ranking"):
+            Undeclared()

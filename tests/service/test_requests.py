@@ -27,7 +27,7 @@ def _sample(kind):
         "schedule": api.ScheduleRequest(
             cluster="cloudlab", policy="backfill", seed=4, scale=0.5,
             n_jobs=10, trace_seed=9, diurnal_amplitude=0.3,
-            day_of_week_weights=(1.0,) * 7, engine="indexed",
+            day_of_week_weights=(1.0,) * 7,
         ),
         "monitor": api.MonitorRequest(
             cluster="cloudlab", seed=5, scale=0.5, days=2, window=2,
@@ -96,7 +96,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             api.CharacterizeRequest(scale=0.0)
         with pytest.raises(ConfigError):
-            api.ScheduleRequest(engine="quantum")
+            api.ScheduleRequest(arrival_rate_per_hour=0.0)
 
     @pytest.mark.parametrize("body", [
         {"kind": "characterize", "scale": "x"},
@@ -116,6 +116,23 @@ class TestValidation:
         # The steady-state solver is no longer selectable: a stale body
         # naming one fails as an unknown key.
         {"kind": "characterize", "solver": "fleet"},
+        {"kind": "characterize", "coverage": "x"},
+        {"kind": "characterize", "coverage": None},
+        {"kind": "monitor", "coverage": [0.5]},
+        {"kind": "characterize", "power_limit_w": "250"},
+        {"kind": "characterize", "power_limit_w": True},
+        {"kind": "sweep", "power_limits_w": ["x"]},
+        {"kind": "sweep", "power_limits_w": 5},
+        {"kind": "sweep", "power_limits_w": [None]},
+        {"kind": "schedule", "arrival_rate_per_hour": "fast"},
+        {"kind": "schedule", "arrival_rate_per_hour": None},
+        {"kind": "schedule", "diurnal_amplitude": "0.5"},
+        {"kind": "schedule", "peak_hour": [14]},
+        {"kind": "schedule", "day_of_week_weights": "weekdays"},
+        {"kind": "schedule", "day_of_week_weights": [1, "x"]},
+        {"kind": "schedule", "power_budget_w": "lots"},
+        # The dispatch engine is no longer selectable either.
+        {"kind": "schedule", "engine": "auto"},
     ], ids=repr)
     def test_malformed_wire_values_rejected(self, body):
         # Wrong types must raise the typed error before any digest is

@@ -122,6 +122,7 @@ class TestRouting:
         b'{"scale": "x"}',
         b'{"days": "abc"}',
         b'{"solver": "fleet"}',
+        b'{"coverage": "x"}',
     ])
     def test_mistyped_or_stale_field_400(self, body):
         # A wrong type or a field that no longer exists is a typed
@@ -134,6 +135,33 @@ class TestRouting:
         reply = _with_service(scenario)
         assert reply.status == 400
         assert decode_response(reply.body)["error"]["code"] == "bad_request"
+
+    def test_unexpected_exception_500_and_service_survives(self):
+        # A bug below the request layer is answered, not a dropped
+        # connection, and the service keeps serving afterwards.
+        def flaky_runner(request):
+            if request.seed == 1:
+                raise RuntimeError("boom")
+            return b'{"ok":1}'
+
+        async def scenario(service):
+            failed = await _post(
+                service, "characterize",
+                api.CharacterizeRequest(cluster="cloudlab", seed=1),
+            )
+            served = await _post(
+                service, "characterize",
+                api.CharacterizeRequest(cluster="cloudlab", seed=0),
+            )
+            return failed, served
+
+        failed, served = _with_service(scenario, runner=flaky_runner)
+        assert failed.status == 500
+        error = decode_response(failed.body)["error"]
+        assert error["code"] == "internal"
+        assert "RuntimeError: boom" in error["message"]
+        assert served.status == 200
+        assert served.body == b'{"ok":1}'
 
 
 class TestParity:

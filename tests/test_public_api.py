@@ -66,7 +66,7 @@ API_SURFACE = frozenset({
     "SchedulingResult", "SchedulingReport", "ScheduleOutcome", "JobRecord",
     "Job", "TraceConfig", "generate_trace", "PlacementPolicy", "FifoPolicy",
     "BackfillPolicy", "VariabilityAwarePolicy", "HealthAwarePolicy",
-    "EnergyCappedPolicy", "node_power_watts", "POLICY_NAMES", "ENGINE_MODES",
+    "EnergyCappedPolicy", "node_power_watts", "POLICY_NAMES",
     "validate_scheduling_report", "write_event_log",
     # typed request surface (shared by Python, CLI, and the HTTP service)
     "REQUEST_SCHEMA_VERSION", "REQUEST_KINDS", "EXECUTION_FIELDS",
