@@ -997,14 +997,7 @@ def schedule(
             request.cluster, seed=request.seed, scale=request.scale
         )
         policy = request.policy
-        trace = TraceConfig(
-            n_jobs=request.n_jobs,
-            arrival_rate_per_hour=request.arrival_rate_per_hour,
-            seed=request.trace_seed,
-            diurnal_amplitude=request.diurnal_amplitude,
-            peak_hour=request.peak_hour,
-            day_of_week_weights=request.day_of_week_weights,
-        )
+        trace = request.trace_config()
         power_budget_w = request.power_budget_w
         profile_config = CampaignConfig(days=request.profile_days)
         workers = request.workers

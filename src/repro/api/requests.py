@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from ..config import config_from_dict, config_to_dict, require
 from ..errors import ConfigError
+from ..sched.trace import TraceConfig
 
 __all__ = [
     "REQUEST_SCHEMA_VERSION",
@@ -341,6 +342,20 @@ class ScheduleRequest(_RequestBase):
         require(
             isinstance(self.profile_days, int) and self.profile_days >= 1,
             f"profile_days must be an int >= 1, got {self.profile_days!r}",
+        )
+        # TraceConfig owns the trace ranges; building it here raises its
+        # ConfigError before the request is digested or queued.
+        self.trace_config()
+
+    def trace_config(self) -> TraceConfig:
+        """The :class:`~repro.sched.TraceConfig` this request describes."""
+        return TraceConfig(
+            n_jobs=self.n_jobs,
+            arrival_rate_per_hour=self.arrival_rate_per_hour,
+            seed=self.trace_seed,
+            diurnal_amplitude=self.diurnal_amplitude,
+            peak_hour=self.peak_hour,
+            day_of_week_weights=self.day_of_week_weights,
         )
 
 

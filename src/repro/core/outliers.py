@@ -178,10 +178,11 @@ def node_outlier_counts(
     for metric in metrics:
         if metric not in dataset:
             continue
-        report = flag_outlier_gpus(dataset, metric)
         med = dataset.per_gpu_median(metric)
         labels = med.column("gpu_label")
         nodes = med.column("node_label")
+        report = flag_outlier_values(med.column(metric), labels, nodes,
+                                     metric=metric)
         node_of = dict(zip(labels, nodes))
         for gpu in report.gpu_labels:
             node = node_of[gpu]

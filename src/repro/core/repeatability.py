@@ -34,34 +34,24 @@ def per_gpu_repeatability(
     """
     if min_runs < 2:
         raise AnalysisError("min_runs must be >= 2")
-    keys = dataset.column(gpu_key)
     values = dataset.column(metric)
-    uniq, first_index, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-
-    rows_idx: list[int] = []
-    variation: list[float] = []
-    n_runs: list[int] = []
-    for gi in range(uniq.shape[0]):
-        v = values[inverse == gi]
-        if v.shape[0] < min_runs:
-            continue
-        med = np.median(v)
-        if med == 0:
-            raise AnalysisError("zero median makes repeat variation undefined")
-        rows_idx.append(int(first_index[gi]))
-        variation.append(float((v.max() - v.min()) / med))
-        n_runs.append(int(v.shape[0]))
-    if not variation:
+    groups = dataset.group_index(gpu_key)
+    kept = groups.counts >= min_runs
+    if not kept.any():
         raise AnalysisError(
             f"no GPU had at least {min_runs} runs of {metric!r}"
         )
+    med = groups.median(values)[kept]
+    if np.any(med == 0):
+        raise AnalysisError("zero median makes repeat variation undefined")
+    spread = (groups.reduce(np.maximum, values)
+              - groups.reduce(np.minimum, values))[kept]
+    rows_idx = groups.first_index[kept]
 
     columns: dict[str, np.ndarray] = {
-        gpu_key: keys[rows_idx],
-        "n_runs": np.asarray(n_runs, dtype=np.int64),
-        "repeat_variation": np.asarray(variation),
+        gpu_key: groups.keys[kept],
+        "n_runs": groups.counts[kept].astype(np.int64),
+        "repeat_variation": spread / med,
     }
     for carry in ("gpu_label", "node_label", "cabinet", "cluster", "workload"):
         if carry in dataset:

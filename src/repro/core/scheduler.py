@@ -60,27 +60,20 @@ def slow_assignment_probability(
 
     if "node_label" not in med:
         raise AnalysisError("multi-GPU impact needs a node_label column")
-    nodes = med.column("node_label")
-    probs: list[float] = []
-    for node in np.unique(nodes):
-        members = slow[nodes == node]
-        width = members.shape[0]
-        if width < n_gpus:
-            continue
-        if n_gpus == width:
-            probs.append(float(members.any()))
-        else:
-            # Hypergeometric: P(no slow GPU among n_gpus of width).
-            n_fast = int((~members).sum())
-            p_clean = 1.0
-            for j in range(n_gpus):
-                p_clean *= max(0, n_fast - j) / (width - j)
-            probs.append(1.0 - p_clean)
-    if not probs:
+    nodes = med.group_index("node_label")
+    wide = nodes.counts >= n_gpus
+    if not wide.any():
         raise AnalysisError(
             f"no node is wide enough for {n_gpus}-GPU jobs"
         )
-    return float(np.mean(probs))
+    width = nodes.counts[wide]
+    n_fast = width - nodes.reduce(np.add, slow.astype(np.int64))[wide]
+    # Hypergeometric: P(no slow GPU among n_gpus of width).  A job as wide
+    # as its node gets exactly 1.0 - 1.0 or 1.0 - 0.0: any slow member.
+    p_clean = np.ones(width.shape[0])
+    for j in range(n_gpus):
+        p_clean *= np.maximum(0, n_fast - j) / (width - j)
+    return float(np.mean(1.0 - p_clean))
 
 
 def node_variability_scores(
@@ -96,13 +89,13 @@ def node_variability_scores(
     if "node_label" not in med:
         raise AnalysisError("dataset needs node_label for node scoring")
     values = med.column(metric)
-    nodes = med.column("node_label")
+    nodes = med.group_index("node_label")
     fleet_median = np.median(values)
-    scores: dict[str, float] = {}
-    for node in np.unique(nodes):
-        member_values = values[nodes == node]
-        scores[str(node)] = float(member_values.max() / fleet_median)
-    return scores
+    worst = nodes.reduce(np.maximum, values)
+    return {
+        str(node): float(member_max / fleet_median)
+        for node, member_max in zip(nodes.keys, worst)
+    }
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,7 @@ class VariabilitySuite:
 
         power = dataset.column(METRIC_POWER)
         cv = float(power.std() / power.mean())
-        n_observed = int(np.unique(dataset.column("gpu_index")).shape[0])
+        n_observed = len(dataset.group_index("gpu_index"))
         recommended = required_sample_size(
             cv, population=self.cluster.n_gpus
         )

@@ -391,7 +391,7 @@ def run_schedule(
                 flat_queue.popleft()
                 place(job, requests, False, now)
             return
-        while True:
+        while len(bucket_queue):
             if tracer is not None:
                 tracer.add("sched.dispatch_attempts")
             entry = bucket_queue.earliest_fitting(fits)

@@ -16,7 +16,7 @@ from .sample import (
 )
 from .trace import TelemetryTrace
 from .recorder import TraceRecorder
-from .dataset import MeasurementDataset
+from .dataset import GroupIndex, MeasurementDataset
 from .progress import CampaignProgress, ShardTiming
 from .io import (
     dataset_to_csv_text,
@@ -36,6 +36,7 @@ __all__ = [
     "TelemetryTrace",
     "TraceRecorder",
     "MeasurementDataset",
+    "GroupIndex",
     "CampaignProgress",
     "ShardTiming",
     "read_csv",

@@ -5,6 +5,12 @@ equal-length NumPy arrays — with exactly the operations the analysis suite
 needs: filtering, grouping, concatenation, and derived columns.  It avoids
 a pandas dependency while staying vectorized.
 
+Every grouped operation (``groupby``, ``group_reduce``, ``per_gpu_median``
+and the per-node passes in :mod:`repro.core`) goes through one
+:class:`GroupIndex` per key column: a single sort, built on first use and
+cached on the (immutable) dataset, so grouping costs O(rows log rows)
+instead of one full-column mask per group.
+
 Conventions: one row per (GPU, run); metric columns follow
 :mod:`repro.telemetry.sample` names; identity columns (``cluster``,
 ``workload``, ``gpu_label``, ``node_label``, ``cabinet``, ``day`` ...) are
@@ -19,7 +25,7 @@ import numpy as np
 
 from ..errors import DatasetError
 
-__all__ = ["MeasurementDataset"]
+__all__ = ["GroupIndex", "MeasurementDataset"]
 
 
 def _as_column(values: Any) -> np.ndarray:
@@ -27,6 +33,72 @@ def _as_column(values: Any) -> np.ndarray:
     if arr.dtype.kind in ("U", "S", "O"):
         return arr.astype(object)
     return arr
+
+
+class GroupIndex:
+    """The rows of one key column, grouped by a single stable sort.
+
+    Attributes
+    ----------
+    keys:
+        Sorted unique key values (``np.unique`` of the column).
+    first_index:
+        Row of each group's first occurrence.
+    inverse:
+        Group number of every row.
+    order:
+        Row numbers sorted by group; stable, so each group's rows keep
+        their original order.
+    bounds:
+        Group ``g`` is ``order[bounds[g]:bounds[g + 1]]``.
+    counts:
+        Rows per group.
+    """
+
+    __slots__ = ("keys", "first_index", "inverse", "order", "bounds", "counts")
+
+    def __init__(self, column: np.ndarray) -> None:
+        self.keys, self.first_index, self.inverse, self.counts = np.unique(
+            column, return_index=True, return_inverse=True, return_counts=True
+        )
+        self.order = np.argsort(self.inverse, kind="stable")
+        self.bounds = np.zeros(self.keys.shape[0] + 1, dtype=np.intp)
+        np.cumsum(self.counts, out=self.bounds[1:])
+
+    def __len__(self) -> int:
+        return int(self.keys.shape[0])
+
+    def rows(self, group: int) -> np.ndarray:
+        """Row numbers of group ``group``, in original row order."""
+        return self.order[self.bounds[group]:self.bounds[group + 1]]
+
+    def reduce(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """``ufunc.reduce`` over each group, e.g. ``np.maximum`` or ``np.add``."""
+        return ufunc.reduceat(values[self.order], self.bounds[:-1])
+
+    def median(self, values: np.ndarray) -> np.ndarray:
+        """Each group's median, bitwise equal to ``np.median`` of its rows.
+
+        One ``lexsort`` by (group, value) puts every group's values in
+        order; the median is the middle element, or the mean of the two
+        middle ones for even counts (``np.median`` takes ``np.mean`` of
+        the same one or two elements, so the dtype and rounding agree).
+        NaN sorts last, so a group whose last element is NaN contains one
+        and its median is NaN, as in ``np.median``.
+        """
+        if len(self) == 0:
+            return np.array([])
+        ordered = values[np.lexsort((values, self.inverse))]
+        starts = self.bounds[:-1]
+        lower = ordered[starts + (self.counts - 1) // 2]
+        upper = ordered[starts + self.counts // 2]
+        medians = np.mean(lower[np.newaxis], axis=0)
+        even = self.counts % 2 == 0
+        medians[even] = np.mean(np.stack([lower[even], upper[even]]), axis=0)
+        if values.dtype.kind == "f":
+            last = ordered[self.bounds[1:] - 1]
+            np.copyto(medians, last, where=np.isnan(last))
+        return medians
 
 
 class MeasurementDataset:
@@ -57,6 +129,7 @@ class MeasurementDataset:
             data[name] = arr
         self._data = data
         self._n = int(n if n is not None else 0)
+        self._groups: dict[str, GroupIndex] = {}
 
     # -- basics ---------------------------------------------------------------
 
@@ -137,8 +210,10 @@ class MeasurementDataset:
 
     def sort_by(self, name: str) -> "MeasurementDataset":
         """Rows sorted ascending by column ``name`` (stable)."""
-        order = np.argsort(self.column(name), kind="stable")
-        return MeasurementDataset({k: v[order] for k, v in self._data.items()})
+        return self._take(np.argsort(self.column(name), kind="stable"))
+
+    def _take(self, rows: np.ndarray) -> "MeasurementDataset":
+        return MeasurementDataset({k: v[rows] for k, v in self._data.items()})
 
     # -- grouping ---------------------------------------------------------------
 
@@ -146,11 +221,19 @@ class MeasurementDataset:
         """Sorted unique values of a column."""
         return np.unique(self.column(name))
 
+    def group_index(self, name: str) -> GroupIndex:
+        """The :class:`GroupIndex` of column ``name`` (built once, cached)."""
+        index = self._groups.get(name)
+        if index is None:
+            # Threads racing here build equal indexes; either may be kept.
+            index = self._groups[name] = GroupIndex(self.column(name))
+        return index
+
     def groupby(self, name: str) -> Iterator[tuple[Any, "MeasurementDataset"]]:
         """Iterate ``(value, subset)`` over groups of column ``name``."""
-        col = self.column(name)
-        for value in np.unique(col):
-            yield value, self.filter(col == value)
+        index = self.group_index(name)
+        for group, value in enumerate(index.keys):
+            yield value, self._take(index.rows(group))
 
     def group_reduce(
         self,
@@ -158,13 +241,16 @@ class MeasurementDataset:
         value: str,
         reducer: Callable[[np.ndarray], float] = np.median,
     ) -> dict[Any, float]:
-        """Reduce one column per group, e.g. median power per cabinet."""
-        out: dict[Any, float] = {}
-        col = self.column(key)
+        """Reduce one column per group, e.g. median power per cabinet.
+
+        ``reducer`` sees each group's values in original row order.
+        """
+        index = self.group_index(key)
         values = self.column(value)
-        for group in np.unique(col):
-            out[group] = float(reducer(values[col == group]))
-        return out
+        return {
+            group: float(reducer(values[index.rows(g)]))
+            for g, group in enumerate(index.keys)
+        }
 
     def per_gpu_median(self, value: str, gpu_key: str = "gpu_index") -> "MeasurementDataset":
         """Collapse runs to one row per GPU with the median of ``value``.
@@ -173,25 +259,17 @@ class MeasurementDataset:
         transients (Section III).  All identity columns that are constant
         within a GPU group are carried through; varying ones are dropped.
         """
-        keys = self.column(gpu_key)
-        uniq, first_index, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        values = self.column(value)
-
-        medians = np.array([
-            np.median(values[inverse == gi]) for gi in range(uniq.shape[0])
-        ])
+        index = self.group_index(gpu_key)
         out: dict[str, np.ndarray] = {}
         for name in self.column_names:
             if name == value:
                 continue
             col = self._data[name]
-            representative = col[first_index]
+            representative = col[index.first_index]
             # Keep the column only if it is constant within every group.
-            if bool(np.all(col == representative[inverse])):
+            if bool(np.all(col == representative[index.inverse])):
                 out[name] = representative
-        out[value] = medians
+        out[value] = index.median(self.column(value))
         return MeasurementDataset(out)
 
     # -- export ---------------------------------------------------------------

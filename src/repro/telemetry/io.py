@@ -53,14 +53,29 @@ def _open(path: Path, mode: str) -> IO:
     return open(path, mode, encoding="utf-8", newline="")
 
 
+#: Rows converted to Python objects at a time: whole-column ``tolist()``
+#: would hold every cell of a large table as a Python object at once.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _cells(column: np.ndarray) -> list:
+    """Python values whose ``str()`` is the numpy scalar's ``str()``."""
+    if column.dtype.kind == "f" and column.dtype != np.float64:
+        # Only float64 converts to a Python float that prints the same
+        # digits; float32 would gain some, longdouble lose some.
+        return column.astype(str).tolist()
+    return column.tolist()
+
+
 def _write_csv_to(dataset: MeasurementDataset, fh: IO) -> None:
     names = dataset.column_names
     kinds = {name: _kind_of(dataset.column(name)) for name in names}
     writer = csv.writer(fh)
     writer.writerow([f"{name}:{kinds[name]}" for name in names])
     columns = [dataset.column(name) for name in names]
-    for i in range(dataset.n_rows):
-        writer.writerow([col[i] for col in columns])
+    for start in range(0, dataset.n_rows, _CSV_CHUNK_ROWS):
+        chunk = slice(start, start + _CSV_CHUNK_ROWS)
+        writer.writerows(zip(*(_cells(col[chunk]) for col in columns)))
 
 
 def write_csv(dataset: MeasurementDataset, path: str | Path) -> None:

@@ -8,7 +8,14 @@ committed text byte-for-byte, which pins determinism across *refactors*,
 not merely across shard counts: any change to an RNG stream, a draw order,
 a float expression, or the CSV serialization shows up as a diff here.
 
-Regenerate (only when a change is *intended* to alter streams) with::
+Each fixture also pins its analysis: ``report_digests.json`` holds the
+SHA-256 of the rendered :class:`~repro.core.suite.ClusterReport` computed
+from the committed CSV, so a change to any analysis pass (per-GPU medians,
+outliers, slow-assignment odds ...) shows up as a digest diff in
+``tests/test_golden_reports.py``.
+
+Regenerate (only when a change is *intended* to alter streams or the
+analysis) with::
 
     PYTHONPATH=src python tools/regen_golden.py
 """
@@ -16,6 +23,8 @@ Regenerate (only when a change is *intended* to alter streams) with::
 from __future__ import annotations
 
 import gzip
+import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,9 +36,10 @@ from repro.cluster import (
     summit,
     vortex,
 )
+from repro.core import VariabilitySuite
 from repro.sim import CampaignConfig, run_campaign
 from repro.telemetry.dataset import MeasurementDataset
-from repro.telemetry.io import dataset_to_csv_text
+from repro.telemetry.io import dataset_to_csv_text, read_csv
 from repro.workloads import sgemm
 from repro.workloads.sgemm import SGEMM_N_AMD
 
@@ -38,15 +48,22 @@ __all__ = [
     "GOLDEN_SEED",
     "GOLDEN_CONFIG",
     "GOLDEN_CAMPAIGNS",
+    "REPORT_DIGESTS_PATH",
     "GoldenSpec",
     "build_golden_dataset",
     "golden_csv_text",
     "golden_path",
+    "golden_report_digest",
     "read_golden_text",
+    "read_report_digests",
     "write_golden",
+    "write_report_digests",
 ]
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+
+#: ``{fixture name: sha256 of the rendered ClusterReport}``.
+REPORT_DIGESTS_PATH = GOLDEN_DIR / "report_digests.json"
 
 #: One seed for all fixtures; distinct from the test-suite and benchmark
 #: seeds so golden diffs cannot be masked by fixture reuse.
@@ -128,3 +145,32 @@ def write_golden(name: str) -> Path:
         with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
             fh.write(data)
     return path
+
+
+def golden_report_digest(name: str) -> str:
+    """SHA-256 of the rendered report analyzed from a committed fixture.
+
+    The dataset is read back from the committed CSV (not re-simulated), so
+    the digest pins the analysis alone and costs no campaign.
+    """
+    spec = GOLDEN_CAMPAIGNS[name]
+    dataset = read_csv(golden_path(name))
+    report = VariabilitySuite(spec.build_cluster()).analyze(dataset)
+    return hashlib.sha256(report.render().encode("utf-8")).hexdigest()
+
+
+def read_report_digests() -> dict[str, str]:
+    """The committed report digests, by fixture name."""
+    return json.loads(REPORT_DIGESTS_PATH.read_text(encoding="utf-8"))
+
+
+def write_report_digests(names) -> Path:
+    """(Re)write the digests of ``names``, keeping every other entry."""
+    digests = read_report_digests() if REPORT_DIGESTS_PATH.exists() else {}
+    for name in names:
+        digests[name] = golden_report_digest(name)
+    REPORT_DIGESTS_PATH.write_text(
+        json.dumps(dict(sorted(digests.items())), indent=1) + "\n",
+        encoding="utf-8",
+    )
+    return REPORT_DIGESTS_PATH

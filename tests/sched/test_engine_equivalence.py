@@ -170,8 +170,25 @@ class TestNearLinearity:
     Each dispatch round costs one failed probe plus one probe per
     placement, and rounds run once per event (one submit + one finish
     per job) — so total attempts are bounded by ~3 per job regardless of
-    queue depth.  The reference head-rescan loop has no such bound.
+    queue depth.  A round over an empty queue probes nothing, so a
+    lightly loaded trace costs about one attempt per job.  The reference
+    head-rescan loop has no such bound.
     """
+
+    def test_light_load_attempts_near_one_per_job(self, cluster):
+        trace = api.TraceConfig(n_jobs=100, arrival_rate_per_hour=5.0, seed=6)
+        jobs = api.generate_trace(trace)
+        policy = VariabilityAwarePolicy(
+            _scores(cluster.topology.n_nodes), backfill=True
+        )
+        tracer = Tracer()
+        with activate(tracer):
+            outcome = run_schedule(cluster, jobs, policy)
+        assert tracer.counters["sched.dispatch_attempts"] <= 1.5 * 100
+        reference = run_reference(cluster, jobs, policy)
+        assert event_log_lines(outcome.events) == event_log_lines(
+            reference.events
+        )
 
     @pytest.mark.parametrize("n_jobs", (100, 300))
     def test_attempts_bounded_per_job(self, cluster, n_jobs):

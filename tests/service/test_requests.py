@@ -133,6 +133,14 @@ class TestValidation:
         {"kind": "schedule", "power_budget_w": "lots"},
         # The dispatch engine is no longer selectable either.
         {"kind": "schedule", "engine": "auto"},
+        # Well-typed but out of the trace's range: rejected at decode time
+        # too, not first inside a worker.
+        {"kind": "schedule", "diurnal_amplitude": 5.0,
+         "day_of_week_weights": [1.0]},
+        {"kind": "schedule", "diurnal_amplitude": -0.1},
+        {"kind": "schedule", "peak_hour": 24.0},
+        {"kind": "schedule", "day_of_week_weights": [1.0] * 6},
+        {"kind": "schedule", "day_of_week_weights": [1, 1, 1, 1, 1, 1, 0]},
     ], ids=repr)
     def test_malformed_wire_values_rejected(self, body):
         # Wrong types must raise the typed error before any digest is

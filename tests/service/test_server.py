@@ -136,6 +136,38 @@ class TestRouting:
         assert reply.status == 400
         assert decode_response(reply.body)["error"]["code"] == "bad_request"
 
+    def test_trace_out_of_range_400_before_the_broker(self):
+        # A well-typed but invalid trace is a typed bad_request answered
+        # at decode time: nothing is digested into the broker or run.
+        ran = []
+
+        def runner(request):
+            ran.append(request)
+            return b'{"ok":1}'
+
+        async def scenario(service):
+            submitted = []
+            submit = service.broker.submit
+
+            async def spy(request, digest):
+                submitted.append(digest)
+                return await submit(request, digest)
+
+            service.broker.submit = spy
+            reply = await http_request(
+                "127.0.0.1", service.port, "POST", "/v1/schedule",
+                b'{"kind": "schedule", "diurnal_amplitude": 5.0, '
+                b'"day_of_week_weights": [1.0]}',
+            )
+            return reply, submitted
+
+        reply, submitted = _with_service(scenario, runner=runner)
+        assert reply.status == 400
+        error = decode_response(reply.body)["error"]
+        assert error["code"] == "bad_request"
+        assert "diurnal_amplitude" in error["message"]
+        assert submitted == [] and ran == []
+
     def test_unexpected_exception_500_and_service_survives(self):
         # A bug below the request layer is answered, not a dropped
         # connection, and the service keeps serving afterwards.

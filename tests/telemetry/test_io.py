@@ -1,11 +1,14 @@
 """Tests for CSV persistence."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from repro.errors import DatasetError
 from repro.telemetry.dataset import MeasurementDataset
-from repro.telemetry.io import read_csv, write_csv
+from repro.telemetry.io import dataset_to_csv_text, read_csv, write_csv
 
 
 @pytest.fixture()
@@ -46,6 +49,33 @@ class TestRoundtrip:
         np.testing.assert_allclose(
             back["performance_ms"], sgemm_dataset["performance_ms"]
         )
+
+
+class TestSerialization:
+    def test_text_matches_cell_by_cell_formatting(self):
+        # Oracle: one csv row per table row, each cell the numpy scalar
+        # itself (csv.writer str()s it).  The writer converts columns in
+        # chunks, so the table spans several chunks and ends mid-chunk;
+        # float32/float16 must keep their short str(), not float64 digits.
+        n = 2 * 4096 + 3
+        rng = np.random.default_rng(5)
+        ds = MeasurementDataset({
+            "label": np.asarray([f'g{i % 7},"x"' for i in range(n)],
+                                dtype=object),
+            "day": rng.integers(-5, 5, n),
+            "f8": rng.normal(0.0, 1e3, n),
+            "f4": rng.normal(0.0, 1.0, n).astype(np.float32),
+            "f2": rng.normal(0.0, 1.0, n).astype(np.float16),
+            "capped": rng.random(n) < 0.5,
+        })
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["label:s", "day:i", "f8:f", "f4:f", "f2:f",
+                         "capped:b"])
+        columns = [ds.column(name) for name in ds.column_names]
+        for i in range(n):
+            writer.writerow([col[i] for col in columns])
+        assert dataset_to_csv_text(ds) == expected.getvalue()
 
 
 class TestErrors:

@@ -1,6 +1,10 @@
 #!/usr/bin/env python
 """Regenerate the golden campaign fixtures under tests/golden/.
 
+Each fixture is a gzipped campaign CSV plus, in
+``tests/golden/report_digests.json``, the digest of the report the
+analysis suite renders from that CSV.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/regen_golden.py [name ...]
@@ -24,7 +28,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from tests.golden import GOLDEN_CAMPAIGNS, write_golden  # noqa: E402
+from tests.golden import (  # noqa: E402
+    GOLDEN_CAMPAIGNS,
+    write_golden,
+    write_report_digests,
+)
 
 
 def main(argv: list[str]) -> int:
@@ -39,6 +47,8 @@ def main(argv: list[str]) -> int:
         path = write_golden(name)
         size = path.stat().st_size
         print(f"wrote {path.relative_to(REPO_ROOT)} ({size} bytes)")
+    path = write_report_digests(names)
+    print(f"wrote {path.relative_to(REPO_ROOT)} ({len(names)} report digests)")
     return 0
 
 
